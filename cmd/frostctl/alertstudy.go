@@ -2,10 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -14,7 +11,6 @@ import (
 	"frostlab/internal/core"
 	"frostlab/internal/monitor"
 	"frostlab/internal/rules"
-	"frostlab/internal/wire"
 )
 
 // The E16 detection-latency study (-phase alerts): every fault class the
@@ -24,24 +20,14 @@ import (
 // fault taking effect and the matching alert's firing transition. Each
 // arm runs twice with the same seed; the incident timelines must be
 // byte-identical (digest-compared), and the warm evaluation path must
-// not allocate. The full result lands in BENCH_ALERTS.json so CI can
-// gate detection latency like any other benchmark.
+// not allocate. The full result lands in BENCH_ALERTS.json, and
+// gateAlerts holds each class's MTTD to the committed reference.
 
-type alertsOpts struct {
-	hosts *int
-	days  *int
-	stuck *int
-	out   *string
-}
-
-func alertsFlags() alertsOpts {
-	return alertsOpts{
-		hosts: flag.Int("alerts-hosts", 6, "fleet size for the -phase alerts collection arms"),
-		days:  flag.Int("alerts-days", 11, "simulated days for the stuck-damper arm"),
-		stuck: flag.Int("alerts-stuck-tick", 2601, "1-based control tick the damper jams at (5m cadence)"),
-		out:   flag.String("alerts-out", "BENCH_ALERTS.json", "write the study report as JSON to this file (\"\" disables)"),
-	}
-}
+const (
+	alertsHosts     = 6    // fleet size for the collection arms
+	alertsDays      = 11   // simulated days for the stuck-damper arm
+	alertsStuckTick = 2601 // 1-based control tick the damper jams at (5m cadence)
+)
 
 // armResult is one fault class's detection record.
 type armResult struct {
@@ -79,7 +65,9 @@ type fleetArm struct {
 	linesPerRound int
 }
 
-func runAlertsStudy(seed string, o alertsOpts) error {
+// alertsStudy runs every E16 arm twice and measures the warm eval path,
+// returning the report runAlertsStudy prints and writes.
+func alertsStudy(seed string) (alertsBench, error) {
 	t0 := time.Date(2010, time.February, 19, 12, 0, 0, 0, time.UTC)
 	cadence := 20 * time.Minute
 
@@ -124,43 +112,64 @@ func runAlertsStudy(seed string, o alertsOpts) error {
 		},
 	}
 
-	fmt.Printf("E16 detection-latency study: %d hosts, seed %q\n\n", *o.hosts, seed)
-	var results []armResult
+	bench := alertsBench{Seed: seed}
 	for _, arm := range arms {
-		res, err := runFleetArmTwice(seed, *o.hosts, t0, cadence, arm)
+		res, err := runFleetArmTwice(seed, alertsHosts, t0, cadence, arm)
 		if err != nil {
-			return fmt.Errorf("%s: %w", arm.class, err)
+			return bench, fmt.Errorf("%s: %w", arm.class, err)
 		}
-		results = append(results, res)
-		printArm(res)
+		bench.Classes = append(bench.Classes, res)
 	}
-
-	damper, err := runDamperArm(seed, *o.days, *o.stuck)
+	damper, err := runDamperArm(seed, alertsDays, alertsStuckTick)
 	if err != nil {
-		return fmt.Errorf("stuck-damper: %w", err)
+		return bench, fmt.Errorf("stuck-damper: %w", err)
 	}
-	results = append(results, damper)
-	printArm(damper)
+	bench.Classes = append(bench.Classes, damper)
+	bench.EvalAllocsPerTick = measureEvalAllocs()
+	return bench, nil
+}
 
-	allocs := measureEvalAllocs()
-	fmt.Printf("\nwarm eval path: %.3f allocs/tick over 1000 ticks\n", allocs)
-
-	bench := alertsBench{Seed: seed, Classes: results, EvalAllocsPerTick: allocs}
-	if *o.out != "" {
-		data, err := json.MarshalIndent(bench, "", " ")
-		if err != nil {
+// runAlertsStudy runs E16, prints and writes its report, and exits
+// through gateAlerts — against the report already at out, when that was
+// recorded for the same seed.
+func runAlertsStudy(seed, out string) error {
+	ref, err := readReference[alertsBench](out)
+	if err != nil {
+		return err
+	}
+	if ref != nil && ref.Seed != seed {
+		ref = nil
+	}
+	fmt.Printf("E16 detection-latency study: %d hosts, seed %q\n\n", alertsHosts, seed)
+	bench, err := alertsStudy(seed)
+	if err != nil {
+		return err
+	}
+	for _, r := range bench.Classes {
+		printArm(r)
+	}
+	fmt.Printf("\nwarm eval path: %.3f allocs/tick over 1000 ticks\n", bench.EvalAllocsPerTick)
+	if ref != nil {
+		fmt.Printf("gated against the reference in %s\n", out)
+	}
+	if out != "" {
+		if err := writeJSON(out, bench); err != nil {
 			return err
 		}
-		if err := os.WriteFile(*o.out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("report written to %s\n", *o.out)
+		fmt.Printf("report written to %s\n", out)
 	}
+	return gateAlerts(bench, ref)
+}
 
-	// Invariant gates: every fault class must be detected with a finite
-	// MTTD, every replay must be byte-identical, and the warm eval path
-	// must be allocation-free — CI asserts all three by exit status.
-	for _, r := range results {
+// gateAlerts holds E16 to its claims: a zero-alloc warm eval path, and
+// every fault class detected with a byte-identical replay. Against a
+// reference it also requires the same class roster, with no class's
+// MTTD above its reference value, so detection can only get faster.
+func gateAlerts(b alertsBench, ref *alertsBench) error {
+	if b.EvalAllocsPerTick != 0 {
+		return fmt.Errorf("E16: warm eval path allocates (%.3f allocs/tick)", b.EvalAllocsPerTick)
+	}
+	for _, r := range b.Classes {
 		if !r.Detected {
 			return fmt.Errorf("E16: fault class %s never fired rule %s", r.Class, r.Rule)
 		}
@@ -168,8 +177,27 @@ func runAlertsStudy(seed string, o alertsOpts) error {
 			return fmt.Errorf("E16: fault class %s replay produced a different timeline", r.Class)
 		}
 	}
-	if allocs != 0 {
-		return fmt.Errorf("E16: warm eval path allocates (%.3f allocs/tick)", allocs)
+	if ref == nil {
+		return nil
+	}
+	budget := make(map[string]float64, len(ref.Classes))
+	for _, c := range ref.Classes {
+		budget[c.Class] = c.MTTDSeconds
+	}
+	for _, r := range b.Classes {
+		mttd, ok := budget[r.Class]
+		if !ok {
+			return fmt.Errorf("E16: fault class %s is not in the reference", r.Class)
+		}
+		if r.MTTDSeconds > mttd {
+			return fmt.Errorf("E16: fault class %s MTTD %.0fs regressed past the reference %.0fs", r.Class, r.MTTDSeconds, mttd)
+		}
+		delete(budget, r.Class)
+	}
+	for _, c := range ref.Classes {
+		if _, missing := budget[c.Class]; missing {
+			return fmt.Errorf("E16: fault class %s missing from the study", c.Class)
+		}
 	}
 	return nil
 }
@@ -229,37 +257,15 @@ func runFleetArmOnce(seed string, hosts int, t0 time.Time, cadence time.Duration
 		return time.Time{}, "", err
 	}
 
-	ids := make([]string, hosts)
-	stores := make(map[string]*monitor.FileStore, hosts)
-	agents := make(map[string]*monitor.Agent, hosts)
-	keys := make(wire.Keystore, hosts)
-	for i := range ids {
-		id := fmt.Sprintf("%02d", i+1)
-		ids[i] = id
-		stores[id] = monitor.NewFileStore()
-		agents[id] = monitor.NewAgent(id, stores[id])
-		keys[id] = []byte(seed + "/psk/" + id)
-	}
-
-	db := monitor.NewSampleDB()
-	coll := monitor.NewCollector(0).WithSamples(db)
-	cfg := monitor.FleetConfig{
-		Hosts:        ids,
-		Dial:         inj.WrapDialer(monitor.InProcessDialer(agents, keys, seed)),
-		KeyFor:       keys.Lookup,
-		NonceFor:     monitor.InProcessNonces(seed),
-		Retry:        monitor.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Second, Multiplier: 2},
-		Breaker:      monitor.BreakerConfig{Trip: 2, Cooldown: 3},
-		PhaseTimeout: 50 * time.Millisecond,
-		RoundTimeout: 30 * time.Second,
-		Jitter:       monitor.DeterministicJitter(seed),
-		// Backoffs are drawn (so deterministic) but never slept: the study
-		// measures detection latency in sim-time, not wall-clock.
-		Sleep: func(ctx context.Context, d time.Duration) error { return ctx.Err() },
-	}
+	stores, cfg := inProcessFleet(seed, hosts, inj)
+	cfg.Retry.MaxAttempts = 2
+	cfg.Breaker = monitor.BreakerConfig{Trip: 2, Cooldown: 3}
+	cfg.PhaseTimeout = 50 * time.Millisecond
 	if arm.pool {
 		cfg.Pool = &monitor.PoolConfig{Fault: inj.StaleConn}
 	}
+	db := monitor.NewSampleDB()
+	coll := monitor.NewCollector(0).WithSamples(db)
 	fc, err := monitor.NewFleetCollector(coll, cfg)
 	if err != nil {
 		return time.Time{}, "", err
@@ -271,7 +277,7 @@ func runFleetArmOnce(seed string, hosts int, t0 time.Time, cadence time.Duration
 		Live("pool_stale", func() float64 { return float64(fc.PoolStaleTotal()) }).
 		Live("breakers_open", func() float64 {
 			open := 0
-			for _, id := range ids {
+			for _, id := range cfg.Hosts {
 				if fc.BreakerState(id) == monitor.BreakerOpen {
 					open++
 				}
@@ -292,7 +298,7 @@ func runFleetArmOnce(seed string, hosts int, t0 time.Time, cadence time.Duration
 		for i := 0; i < lines; i++ {
 			line := fmt.Sprintf("%s cpu=%.1f load=%d\n",
 				at.UTC().Format(time.RFC3339), -6+0.1*float64(round), round*1000+i)
-			for _, id := range ids {
+			for _, id := range cfg.Hosts {
 				stores[id].Append(monitor.SensorLog, []byte(line))
 			}
 		}

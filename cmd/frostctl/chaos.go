@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"strconv"
 	"strings"
@@ -20,33 +19,49 @@ import (
 // gap ledger records exactly what was lost. The whole run is driven by
 // named RNG streams, so the same seed and fault spec replay bit-identically.
 
-type chaosOpts struct {
-	hosts    *int
-	rounds   *int
-	pRefuse  *float64
-	pCut     *float64
-	pCorrupt *float64
-	pStall   *float64
-	down     *string
-	stalled  *string
-	retries  *int
-	trip     *int
-	cooldown *int
-}
+// The E13 fault mix and collector hardening.
+const (
+	chaosHosts    = 9
+	chaosRounds   = 12
+	chaosPRefuse  = 0.05 // per-attempt probability of a refused dial
+	chaosPCut     = 0.05 // … of a mid-frame cut
+	chaosPCorrupt = 0.1  // … of payload bit corruption
+	chaosPStall   = 0.05 // … of a read stall
+	chaosRetries  = 3    // collection attempts per host per round
+	chaosTrip     = 2    // consecutive failed rounds before a breaker opens
+	chaosCooldown = 2    // rounds an open breaker skips before probing
+)
 
-func chaosFlags() chaosOpts {
-	return chaosOpts{
-		hosts:    flag.Int("chaos-hosts", 9, "fleet size for -phase chaos"),
-		rounds:   flag.Int("chaos-rounds", 12, "collection rounds for -phase chaos"),
-		pRefuse:  flag.Float64("p-refuse", 0.05, "per-attempt probability of a refused dial"),
-		pCut:     flag.Float64("p-cut", 0.05, "per-attempt probability of a mid-frame cut"),
-		pCorrupt: flag.Float64("p-corrupt", 0.1, "per-attempt probability of payload bit corruption"),
-		pStall:   flag.Float64("p-stall", 0.05, "per-attempt probability of a read stall"),
-		down:     flag.String("down", "", "crash schedule host=from-to[,host=from-to] (rounds, open end: from-)"),
-		stalled:  flag.String("stalled", "", "stall schedule, same syntax as -down"),
-		retries:  flag.Int("chaos-retries", 3, "collection attempts per host per round"),
-		trip:     flag.Int("breaker-trip", 2, "consecutive failed rounds before a host's breaker opens"),
-		cooldown: flag.Int("breaker-cooldown", 2, "rounds an open breaker skips before probing"),
+// inProcessFleet builds the in-process fleet E13 and E16 collect: hosts
+// "01".."n", each an Agent over its own FileStore with the pre-shared
+// key seed+"/psk/"+id, dialled through inj. The returned config carries
+// the wiring both studies share — deterministic nonces and backoff
+// jitter, a 1s×2 backoff that is drawn but never slept, a 30s round
+// timeout; callers set attempts, breaker and phase timeout.
+func inProcessFleet(seed string, n int, inj *chaos.Injector) (map[string]*monitor.FileStore, monitor.FleetConfig) {
+	ids := make([]string, n)
+	stores := make(map[string]*monitor.FileStore, n)
+	agents := make(map[string]*monitor.Agent, n)
+	keys := make(wire.Keystore, n)
+	for i := range ids {
+		id := fmt.Sprintf("%02d", i+1)
+		ids[i] = id
+		stores[id] = monitor.NewFileStore()
+		agents[id] = monitor.NewAgent(id, stores[id])
+		keys[id] = []byte(seed + "/psk/" + id)
+	}
+	return stores, monitor.FleetConfig{
+		Hosts:        ids,
+		Dial:         inj.WrapDialer(monitor.InProcessDialer(agents, keys, seed)),
+		KeyFor:       keys.Lookup,
+		NonceFor:     monitor.InProcessNonces(seed),
+		Retry:        monitor.RetryPolicy{BaseBackoff: time.Second, Multiplier: 2},
+		RoundTimeout: 30 * time.Second,
+		Jitter:       monitor.DeterministicJitter(seed),
+		// The studies measure coverage and sim-time latency, not
+		// wall-clock, so backoffs are drawn (and therefore deterministic)
+		// but not slept.
+		Sleep: func(ctx context.Context, d time.Duration) error { return ctx.Err() },
 	}
 }
 
@@ -83,21 +98,21 @@ func parseSchedule(s string) (map[string][]chaos.RoundRange, error) {
 // runChaosStudy drives the E13 study; traceTo, when non-empty, records
 // the collection plane (round and per-host collect spans, wall time) as
 // Chrome trace-event JSON.
-func runChaosStudy(seed string, o chaosOpts, traceTo string) error {
-	down, err := parseSchedule(*o.down)
+func runChaosStudy(seed, downSpec, stalledSpec, traceTo string) error {
+	down, err := parseSchedule(downSpec)
 	if err != nil {
 		return err
 	}
-	stalled, err := parseSchedule(*o.stalled)
+	stalled, err := parseSchedule(stalledSpec)
 	if err != nil {
 		return err
 	}
 	inj, err := chaos.New(chaos.Spec{
 		Seed:       seed + "/chaos",
-		PRefuse:    *o.pRefuse,
-		PStallRead: *o.pStall,
-		PCut:       *o.pCut,
-		PCorrupt:   *o.pCorrupt,
+		PRefuse:    chaosPRefuse,
+		PStallRead: chaosPStall,
+		PCut:       chaosPCut,
+		PCorrupt:   chaosPCorrupt,
 		Down:       down,
 		Stalled:    stalled,
 	})
@@ -105,48 +120,30 @@ func runChaosStudy(seed string, o chaosOpts, traceTo string) error {
 		return err
 	}
 
-	ids := make([]string, *o.hosts)
-	agents := make(map[string]*monitor.Agent, *o.hosts)
-	keys := make(wire.Keystore, *o.hosts)
-	for i := range ids {
-		id := fmt.Sprintf("%02d", i+1)
-		ids[i] = id
-		store := monitor.NewFileStore()
+	stores, cfg := inProcessFleet(seed, chaosHosts, inj)
+	for _, store := range stores {
 		store.Append(monitor.MD5Log,
 			[]byte("2010-02-19T12:10:00Z OK d41d8cd98f00b204e9800998ecf8427e\n"))
 		store.Append(monitor.SensorLog, []byte("2010-02-19T12:10:00Z cpu=-4.1\n"))
-		agents[id] = monitor.NewAgent(id, store)
-		keys[id] = []byte(seed + "/psk/" + id)
 	}
-
+	cfg.Retry.MaxAttempts = chaosRetries
+	cfg.Breaker = monitor.BreakerConfig{Trip: chaosTrip, Cooldown: chaosCooldown}
+	cfg.PhaseTimeout = 2 * time.Second
 	var tracer *telemetry.Tracer
 	if traceTo != "" {
 		tracer = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
+		cfg.Tracer = tracer
 	}
-	fc, err := monitor.NewFleetCollector(monitor.NewCollector(0), monitor.FleetConfig{
-		Hosts:        ids,
-		Tracer:       tracer,
-		Dial:         inj.WrapDialer(monitor.InProcessDialer(agents, keys, seed)),
-		KeyFor:       keys.Lookup,
-		NonceFor:     monitor.InProcessNonces(seed),
-		Retry:        monitor.RetryPolicy{MaxAttempts: *o.retries, BaseBackoff: time.Second, Multiplier: 2},
-		Breaker:      monitor.BreakerConfig{Trip: *o.trip, Cooldown: *o.cooldown},
-		PhaseTimeout: 2 * time.Second,
-		RoundTimeout: 30 * time.Second,
-		Jitter:       monitor.DeterministicJitter(seed),
-		// Backoffs are drawn (and therefore deterministic) but not slept:
-		// the study measures coverage, not wall-clock.
-		Sleep: func(ctx context.Context, d time.Duration) error { return ctx.Err() },
-	})
+	fc, err := monitor.NewFleetCollector(monitor.NewCollector(0), cfg)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("E13 monitoring-outage study: %d hosts, %d rounds, seed %q\n", *o.hosts, *o.rounds, seed)
+	fmt.Printf("E13 monitoring-outage study: %d hosts, %d rounds, seed %q\n", chaosHosts, chaosRounds, seed)
 	fmt.Printf("faults: refuse %.2f, stall %.2f, cut %.2f, corrupt %.2f; down %q; stalled %q\n\n",
-		*o.pRefuse, *o.pStall, *o.pCut, *o.pCorrupt, *o.down, *o.stalled)
+		chaosPRefuse, chaosPStall, chaosPCut, chaosPCorrupt, downSpec, stalledSpec)
 	at := time.Date(2010, time.February, 19, 12, 0, 0, 0, time.UTC)
-	for round := 1; round <= *o.rounds; round++ {
+	for round := 1; round <= chaosRounds; round++ {
 		rep := fc.Round(context.Background(), at)
 		at = at.Add(20 * time.Minute)
 		var notes []string
@@ -166,7 +163,7 @@ func runChaosStudy(seed string, o chaosOpts, traceTo string) error {
 	}
 	fmt.Printf("\n%s", fc.Ledger().String())
 	if tracer != nil {
-		if err := writeTrace(traceTo, tracer); err != nil {
+		if err := writeFile(traceTo, tracer.WriteChromeTrace); err != nil {
 			return err
 		}
 		fmt.Printf("Chrome trace (%d events) written to %s\n", tracer.Len(), traceTo)

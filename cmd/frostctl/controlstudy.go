@@ -26,12 +26,12 @@ type controlOpts struct {
 	stuck    *string
 }
 
-func controlFlags() controlOpts {
+func controlFlags(fs *flag.FlagSet) controlOpts {
 	return controlOpts{
-		setpoint: flag.Float64("control-setpoint", float64(control.DefaultConfig().Setpoint),
+		setpoint: fs.Float64("control-setpoint", float64(control.DefaultConfig().Setpoint),
 			"ventilation setpoint in °C for -phase control"),
-		mode: flag.String("control-mode", "pid", "pid | hysteresis controller law for -phase control"),
-		stuck: flag.String("control-stuck", "",
+		mode: fs.String("control-mode", "pid", "pid | hysteresis controller law for -phase control"),
+		stuck: fs.String("control-stuck", "",
 			"scripted stuck-damper window as control-tick range from-to (empty = healthy actuator)"),
 	}
 }

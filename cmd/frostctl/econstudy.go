@@ -1,10 +1,9 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
+	"maps"
+	"strings"
 	"testing"
 
 	"frostlab/internal/campaign"
@@ -23,21 +22,13 @@ import (
 // byte-identically (digest-compared double run), the warm multi-site
 // tick is allocation-free, every cell conserves work-cycles exactly,
 // and follow-the-cold beats static placement on at least one
-// (fleet, tariff) pair. The full result lands in BENCH_ECON.json.
+// (fleet, tariff) pair. The full result lands in BENCH_ECON.json, and
+// gateEcon holds the cell roster to the committed reference.
 
-type econOpts struct {
-	days  *int
-	hosts *int
-	out   *string
-}
-
-func econFlags() econOpts {
-	return econOpts{
-		days:  flag.Int("econ-days", 28, "simulated days per sweep cell"),
-		hosts: flag.Int("econ-hosts", 9, "hosts per site"),
-		out:   flag.String("econ-out", "BENCH_ECON.json", "write the study report as JSON to this file (\"\" disables)"),
-	}
-}
+const (
+	econDays  = 28 // simulated days per sweep cell
+	econHosts = 9  // hosts per site
+)
 
 // econCellBench is one sweep cell's row in BENCH_ECON.json.
 type econCellBench struct {
@@ -68,83 +59,53 @@ type econBench struct {
 	FollowColdWins    int                `json:"follow_cold_wins"`
 }
 
-func runEconStudy(seed string, o econOpts) error {
-	if *o.days < 1 {
-		return fmt.Errorf("-econ-days must be at least 1, got %d", *o.days)
-	}
-	if *o.hosts < 1 {
-		return fmt.Errorf("-econ-hosts must be at least 1, got %d", *o.hosts)
-	}
+// econStudy runs the E17 sweep twice and re-derives its invariants,
+// returning the report runEconStudy writes and the rendered sweep table
+// (preceded by any conservation violation) it prints.
+func econStudy(seed string) (econBench, string, error) {
 	spec := campaign.DefaultEconSpec(seed)
-	spec.Days = *o.days
-	spec.HostsPerSite = *o.hosts
-
-	fmt.Printf("E17 economics study: %d-day cells, %d hosts/site, seed %q\n\n", spec.Days, spec.HostsPerSite, seed)
-
+	spec.Days = econDays
+	spec.HostsPerSite = econHosts
 	sum, err := campaign.RunEcon(spec)
 	if err != nil {
-		return err
+		return econBench{}, "", err
 	}
 	// Replay gate: the entire sweep again, digest-compared.
 	again, err := campaign.RunEcon(spec)
 	if err != nil {
-		return fmt.Errorf("replay run: %w", err)
+		return econBench{}, "", fmt.Errorf("replay run: %w", err)
 	}
-	replayOK := sum.Digest() == again.Digest()
-
-	// Conservation gate: re-derive every cell's work-cycle accounting from
-	// the results (the engine also checks internally on Run).
-	conservationOK := true
-	for i := range sum.Cells {
-		r := sum.Cells[i].Result
-		meters := make([]econ.Meter, len(r.Sites))
-		for j := range r.Sites {
-			meters[j] = r.Sites[j].Meter
-		}
-		if err := econ.CheckConservation(meters, r.Demanded, 1e-6*(1+r.Demanded)); err != nil {
-			conservationOK = false
-			fmt.Printf("conservation violated in %s: %v\n", sum.Cells[i].Label, err)
-		}
-	}
-
-	allocs := measureEconTickAllocs(seed, *o.hosts)
-
-	text, err := report.Econ(sum)
-	if err != nil {
-		return err
-	}
-	fmt.Println(text)
-
 	keys, savings := sum.Advantage("follow-cold", "static")
-	wins := 0
-	for _, k := range keys {
-		if savings[k] > 0 {
-			wins++
-		}
-	}
-
-	replay := "replay identical"
-	if !replayOK {
-		replay = "REPLAY DIVERGED"
-	}
-	fmt.Printf("sweep digest %s (%s)\n", sum.Digest(), replay)
-	fmt.Printf("warm multi-site tick: %.3f allocs over 100 ticks\n", allocs)
-	fmt.Printf("follow-cold beats static on %d of %d (fleet, tariff) pairs\n", wins, len(keys))
-
 	bench := econBench{
 		Seed:              seed,
 		Days:              spec.Days,
 		HostsPerSite:      spec.HostsPerSite,
 		SweepDigest:       sum.Digest(),
-		ReplayIdentical:   replayOK,
-		WarmTickAllocs:    allocs,
-		ConservationOK:    conservationOK,
+		ReplayIdentical:   sum.Digest() == again.Digest(),
+		WarmTickAllocs:    measureEconTickAllocs(seed, econHosts),
+		ConservationOK:    true,
 		FollowColdSavings: savings,
-		FollowColdWins:    wins,
 	}
+	for _, k := range keys {
+		if savings[k] > 0 {
+			bench.FollowColdWins++
+		}
+	}
+
+	// Conservation gate: re-derive every cell's work-cycle accounting from
+	// the results (the engine also checks internally on Run).
+	var text strings.Builder
 	for i := range sum.Cells {
 		c := &sum.Cells[i]
 		r := c.Result
+		meters := make([]econ.Meter, len(r.Sites))
+		for j := range r.Sites {
+			meters[j] = r.Sites[j].Meter
+		}
+		if err := econ.CheckConservation(meters, r.Demanded, 1e-6*(1+r.Demanded)); err != nil {
+			bench.ConservationOK = false
+			fmt.Fprintf(&text, "conservation violated in %s: %v\n", c.Label, err)
+		}
 		bench.Cells = append(bench.Cells, econCellBench{
 			Policy:         c.Policy,
 			Set:            c.Set,
@@ -159,31 +120,94 @@ func runEconStudy(seed string, o econOpts) error {
 			Digest:         r.Digest(),
 		})
 	}
-	if *o.out != "" {
-		data, err := json.MarshalIndent(bench, "", " ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*o.out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("report written to %s\n", *o.out)
+	table, err := report.Econ(sum)
+	if err != nil {
+		return econBench{}, "", err
 	}
+	text.WriteString(table)
+	return bench, text.String(), nil
+}
 
-	// Invariant gates, asserted by exit status so CI can hold the study.
-	if !replayOK {
+// runEconStudy runs E17, prints and writes its report, and exits through
+// gateEcon — against the report already at out, when that was recorded
+// for the same seed.
+func runEconStudy(seed, out string) error {
+	ref, err := readReference[econBench](out)
+	if err != nil {
+		return err
+	}
+	if ref != nil && ref.Seed != seed {
+		ref = nil
+	}
+	fmt.Printf("E17 economics study: %d-day cells, %d hosts/site, seed %q\n\n", econDays, econHosts, seed)
+	bench, text, err := econStudy(seed)
+	if err != nil {
+		return err
+	}
+	fmt.Println(text)
+
+	replay := "replay identical"
+	if !bench.ReplayIdentical {
+		replay = "REPLAY DIVERGED"
+	}
+	fmt.Printf("sweep digest %s (%s)\n", bench.SweepDigest, replay)
+	fmt.Printf("warm multi-site tick: %.3f allocs over 100 ticks\n", bench.WarmTickAllocs)
+	fmt.Printf("follow-cold beats static on %d of %d (fleet, tariff) pairs\n", bench.FollowColdWins, len(bench.FollowColdSavings))
+	if ref != nil {
+		fmt.Printf("gated against the reference in %s\n", out)
+	}
+	if out != "" {
+		if err := writeJSON(out, bench); err != nil {
+			return err
+		}
+		fmt.Printf("report written to %s\n", out)
+	}
+	return gateEcon(bench, ref)
+}
+
+// gateEcon holds E17 to its claims: a byte-identical sweep replay, an
+// allocation-free warm tick, exact work-cycle conservation, at least one
+// (fleet, tariff) pair where follow-cold beats static, and every cell's
+// completion in (0, 1]. Against a reference it also requires the same
+// cell roster, and a reference that itself records none of the first
+// three invariants violated.
+func gateEcon(b econBench, ref *econBench) error {
+	if !b.ReplayIdentical {
 		return fmt.Errorf("E17: sweep replay produced a different digest")
 	}
-	if allocs != 0 {
-		return fmt.Errorf("E17: warm multi-site tick allocates (%.3f allocs/tick)", allocs)
+	if b.WarmTickAllocs != 0 {
+		return fmt.Errorf("E17: warm multi-site tick allocates (%.3f allocs/tick)", b.WarmTickAllocs)
 	}
-	if !conservationOK {
+	if !b.ConservationOK {
 		return fmt.Errorf("E17: work-cycle conservation violated")
 	}
-	if wins == 0 {
+	if b.FollowColdWins < 1 {
 		return fmt.Errorf("E17: follow-cold never beat static placement")
 	}
+	for _, c := range b.Cells {
+		if !(c.Completion > 0 && c.Completion <= 1) {
+			return fmt.Errorf("E17: %s/%s/%s: completion %v out of (0, 1]", c.Policy, c.Set, c.Tariff, c.Completion)
+		}
+	}
+	if ref == nil {
+		return nil
+	}
+	if !maps.Equal(cellRoster(b.Cells), cellRoster(ref.Cells)) {
+		return fmt.Errorf("E17: cell roster drifted from the committed reference")
+	}
+	if !ref.ReplayIdentical || ref.WarmTickAllocs != 0 || !ref.ConservationOK {
+		return fmt.Errorf("E17: the reference records a violated invariant")
+	}
 	return nil
+}
+
+// cellRoster is the set of (policy, set, tariff) axes a sweep covered.
+func cellRoster(cells []econCellBench) map[[3]string]bool {
+	out := make(map[[3]string]bool, len(cells))
+	for _, c := range cells {
+		out[[3]string{c.Policy, c.Set, c.Tariff}] = true
+	}
+	return out
 }
 
 // measureEconTickAllocs warms a default multi-site engine past its cold

@@ -13,23 +13,29 @@
 // fleet of N tents (core.NewSharded): the same winter, physics, and failure
 // model, stepped as parallel per-tent shards, reported as fleet-level
 // aggregates. Results are byte-identical at any -shards value or GOMAXPROCS.
-// -phase chaos runs the E13 monitoring-outage study instead: an in-process
-// fleet collected under seeded fault injection (see -chaos-* flags).
+// -phase chaos runs the E13 monitoring-outage study instead: a nine-host
+// in-process fleet collected under seeded fault injection, with scripted
+// crash and stall windows from -down and -stalled.
 // -phase control runs the E14 free-cooling control study: the winter and
 // spring scenarios open-loop vs closed-loop, with envelope residency
 // measured identically for every arm (see -control-* flags).
 // -phase serve runs the E15 serving-load study: the loadgen driver's
 // warmup/ramp/sustain/spike profile against the production serving plane
 // (keepalive pool, bounded ingest, admission control), writing the full
-// report to BENCH_SERVE.json (see -serve-* flags).
+// report to -serve-out; -serve-agents, -serve-scrapers, -serve-rate,
+// -serve-inflight and -serve-queue size the run.
 // -phase alerts runs the E16 detection-latency study: every injectable
 // fault class against the rules engine, measuring MTTD per class,
 // checking replay byte-identity and the zero-alloc eval path, writing
-// BENCH_ALERTS.json (see -alerts-* flags).
+// the report to -alerts-out.
 // -phase econ runs the E17 economics study: the multi-site fleet (one
 // site per climate family, each on its geographic tariff) swept over
 // placement policy x fleet x price regime, reporting $ and gCO2 per
-// completed work-cycle and writing BENCH_ECON.json (see -econ-* flags).
+// completed work-cycle and writing the report to -econ-out.
+// Each of E15–E17 exits non-zero when its gate (gateServe, gateAlerts,
+// gateEcon) fails. E16 and E17 are also gated against the report already
+// at their -*-out path — in a checkout, the committed BENCH file — when
+// it was recorded for the same seed.
 // -list-climates and -list-policies print the scenario and policy
 // libraries with their parameter defaults and exit.
 // -trace records the run as Chrome trace-event JSON — open it in
@@ -40,8 +46,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -59,39 +68,53 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "frostctl:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	seed := flag.String("seed", core.ReferenceSeed, "master RNG seed")
-	phase := flag.String("phase", "all", "all | prototype | normal | chaos | control | serve | alerts | econ")
-	monitor := flag.Duration("monitor", 20*time.Minute, "monitoring cadence (0 disables the rsync plane)")
-	days := flag.Int("days", 0, "override the normal-phase length in days (0 = paper horizon)")
-	csvDir := flag.String("csv", "", "write temperature/humidity CSVs into this directory")
-	events := flag.Bool("events", false, "print the full experiment event log")
-	saveTo := flag.String("save", "", "save the run's results as JSON to this file")
-	loadFrom := flag.String("load", "", "skip the simulation; render a previously saved run")
-	mdTo := flag.String("md", "", "write a complete markdown run report to this file")
-	traceTo := flag.String("trace", "", "write the run as Chrome trace-event JSON to this file")
-	tents := flag.Int("tents", 0, "run the sharded scale engine over a synthetic fleet of this many tents (0 = the paper's paired fleet)")
-	hostsPerTent := flag.Int("hosts-per-tent", 9, "hosts per synthetic tent (with -tents)")
-	shards := flag.Int("shards", 0, "shard count for the synthetic fleet; <= 0 selects GOMAXPROCS. Results are byte-identical at any shard count or GOMAXPROCS; more shards than cores adds overhead without speedup")
-	listClim := flag.Bool("list-climates", false, "print the scenario library (climate families and tariff presets) and exit")
-	listPol := flag.Bool("list-policies", false, "print the site placement-policy library and exit")
-	ch := chaosFlags()
-	co := controlFlags()
-	se := serveFlags()
-	al := alertsFlags()
-	eo := econFlags()
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("frostctl", flag.ContinueOnError)
+	seed := fs.String("seed", core.ReferenceSeed, "master RNG seed")
+	phase := fs.String("phase", "all", "all | prototype | normal | chaos | control | serve | alerts | econ")
+	monitor := fs.Duration("monitor", 20*time.Minute, "monitoring cadence (0 disables the rsync plane)")
+	days := fs.Int("days", 0, "override the normal-phase length in days (0 = paper horizon)")
+	csvDir := fs.String("csv", "", "write temperature/humidity CSVs into this directory")
+	events := fs.Bool("events", false, "print the full experiment event log")
+	saveTo := fs.String("save", "", "save the run's results as JSON to this file")
+	loadFrom := fs.String("load", "", "skip the simulation; render a previously saved run")
+	mdTo := fs.String("md", "", "write a complete markdown run report to this file")
+	traceTo := fs.String("trace", "", "write the run as Chrome trace-event JSON to this file")
+	tents := fs.Int("tents", 0, "run the sharded scale engine over a synthetic fleet of this many tents (0 = the paper's paired fleet)")
+	hostsPerTent := fs.Int("hosts-per-tent", 9, "hosts per synthetic tent (with -tents)")
+	shards := fs.Int("shards", 0, "shard count for the synthetic fleet; <= 0 selects GOMAXPROCS. Results are byte-identical at any shard count or GOMAXPROCS; more shards than cores adds overhead without speedup")
+	listClim := fs.Bool("list-climates", false, "print the scenario library (climate families and tariff presets) and exit")
+	listPol := fs.Bool("list-policies", false, "print the site placement-policy library and exit")
+	down := fs.String("down", "", "E13 crash schedule host=from-to[,host=from-to] (rounds, open end: from-)")
+	stalled := fs.String("stalled", "", "E13 stall schedule, same syntax as -down")
+	co := controlFlags(fs)
+	serve := serveFlags(fs)
+	serveOut := fs.String("serve-out", "BENCH_SERVE.json", "write the E15 report as JSON to this file (\"\" disables)")
+	alertsOut := fs.String("alerts-out", "BENCH_ALERTS.json", "write the E16 report as JSON to this file (\"\" disables)")
+	econOut := fs.String("econ-out", "BENCH_ECON.json", "write the E17 report as JSON to this file (\"\" disables)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	switch *phase {
 	case "all", "prototype", "normal", "chaos", "control", "serve", "alerts", "econ":
 	default:
 		return fmt.Errorf("unknown -phase %q (want all | prototype | normal | chaos | control | serve | alerts | econ)", *phase)
+	}
+	if *days < 0 {
+		return fmt.Errorf("-days must not be negative, got %d", *days)
+	}
+	if *tents < 0 {
+		return fmt.Errorf("-tents must not be negative, got %d", *tents)
+	}
+	if err := validateServe(serve); err != nil {
+		return err
 	}
 
 	if *listClim || *listPol {
@@ -115,21 +138,21 @@ func run() error {
 	}
 
 	if *phase == "chaos" {
-		return runChaosStudy(*seed, ch, *traceTo)
+		return runChaosStudy(*seed, *down, *stalled, *traceTo)
 	}
 	if *phase == "control" {
 		return runControlStudy(*seed, co)
 	}
 	if *phase == "alerts" {
-		return runAlertsStudy(*seed, al)
+		return runAlertsStudy(*seed, *alertsOut)
 	}
 	if *phase == "econ" {
-		return runEconStudy(*seed, eo)
+		return runEconStudy(*seed, *econOut)
 	}
 	if *phase == "serve" {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		return runServeStudy(ctx, *seed, se)
+		return runServeStudy(ctx, *seed, *serve, *serveOut)
 	}
 
 	if *phase == "all" || *phase == "prototype" {
@@ -179,7 +202,7 @@ func run() error {
 			return err
 		}
 		if tracer != nil {
-			if err := writeTrace(*traceTo, tracer); err != nil {
+			if err := writeFile(*traceTo, tracer.WriteChromeTrace); err != nil {
 				return err
 			}
 			fmt.Printf("Chrome trace (%d events, %d dropped) written to %s\n\n",
@@ -187,15 +210,7 @@ func run() error {
 		}
 	}
 	if *saveTo != "" {
-		f, err := os.Create(*saveTo)
-		if err != nil {
-			return err
-		}
-		if err := core.SaveResults(f, r); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*saveTo, func(w io.Writer) error { return core.SaveResults(w, r) }); err != nil {
 			return err
 		}
 		fmt.Printf("Results saved to %s\n\n", *saveTo)
@@ -290,15 +305,7 @@ func runScaleFleet(seed string, tents, hostsPerTent, shards, days int, saveTo, c
 	wall := time.Since(wallStart)
 
 	if saveTo != "" {
-		f, err := os.Create(saveTo)
-		if err != nil {
-			return err
-		}
-		if err := core.SaveResults(f, r); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(saveTo, func(w io.Writer) error { return core.SaveResults(w, r) }); err != nil {
 			return err
 		}
 		fmt.Printf("Results saved to %s\n\n", saveTo)
@@ -337,12 +344,43 @@ func runScaleFleet(seed string, tents, hostsPerTent, shards, days int, saveTo, c
 	return nil
 }
 
-func writeTrace(path string, tr *telemetry.Tracer) error {
+// writeJSON writes a study report as one-space-indented JSON.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// readReference reads the study report at path, the reference a fresh
+// run is gated against. A missing file (or an empty path) is no
+// reference: nil, nil.
+func readReference[T any](path string) (*T, error) {
+	if path == "" {
+		return nil, nil
+	}
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	ref := new(T)
+	if err := json.Unmarshal(data, ref); err != nil {
+		return nil, fmt.Errorf("reference %s: %w", path, err)
+	}
+	return ref, nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteChromeTrace(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -359,15 +397,7 @@ func writeCSVs(dir string, r *core.Results) error {
 		"inside_temp.csv":  r.InsideTemp,
 		"inside_rh.csv":    r.InsideRH,
 	} {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := s.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(filepath.Join(dir, name), s.WriteCSV); err != nil {
 			return err
 		}
 	}

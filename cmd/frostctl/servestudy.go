@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
 	"time"
 
 	"frostlab/internal/loadgen"
@@ -17,65 +16,54 @@ import (
 // admission control and scrape caching — and reports HDR latency
 // quantiles, shed counts, pool/ingest accounting, and liveness. The
 // arrival schedule is a pure function of the seed, so the same seed and
-// flags replay the same offered load.
+// flags replay the same offered load. The profile's phase durations,
+// spike multiple, round cadence and cache TTL are loadgen's defaults.
 
-type serveOpts struct {
-	agents     *int
-	scrapers   *int
-	rate       *float64
-	spikeX     *float64
-	warmup     *time.Duration
-	ramp       *time.Duration
-	sustain    *time.Duration
-	spike      *time.Duration
-	roundEvery *time.Duration
-	queue      *int
-	inflight   *int
-	cacheTTL   *time.Duration
-	pStale     *float64
-	out        *string
+const (
+	serveStaleConn      = 0.05  // per-(host, round) probability a parked keepalive went stale
+	serveSustainP99Ms   = 250.0 // sustain-phase p99 latency budget
+	serveGoroutineSlack = 8     // goroutines a run may leave behind before it counts as a leak
+)
+
+// serveFlags binds the E15 sizing flags into the loadgen config the
+// study runs.
+func serveFlags(fs *flag.FlagSet) *loadgen.Config {
+	c := &loadgen.Config{PStaleConn: serveStaleConn}
+	fs.IntVar(&c.Agents, "serve-agents", 64, "simulated nodeagent fleet size for -phase serve")
+	fs.IntVar(&c.Scrapers, "serve-scrapers", 16, "concurrent scraper clients for -phase serve")
+	fs.Float64Var(&c.SustainRate, "serve-rate", 400, "sustain-phase offered load in requests/second")
+	fs.IntVar(&c.QueueCapacity, "serve-queue", 4, "ingest queue capacity (rounds; oldest shed when full)")
+	fs.IntVar(&c.MaxInflight, "serve-inflight", 64, "dash admission watermark (concurrent requests before 503)")
+	return c
 }
 
-func serveFlags() serveOpts {
-	return serveOpts{
-		agents:     flag.Int("serve-agents", 64, "simulated nodeagent fleet size for -phase serve"),
-		scrapers:   flag.Int("serve-scrapers", 16, "concurrent scraper clients for -phase serve"),
-		rate:       flag.Float64("serve-rate", 400, "sustain-phase offered load in requests/second"),
-		spikeX:     flag.Float64("serve-spike-x", 5, "spike-phase load as a multiple of -serve-rate"),
-		warmup:     flag.Duration("serve-warmup", 500*time.Millisecond, "warmup phase duration (quarter rate)"),
-		ramp:       flag.Duration("serve-ramp", 500*time.Millisecond, "ramp phase duration (linear to full rate)"),
-		sustain:    flag.Duration("serve-sustain", 3*time.Second, "sustain phase duration (full rate)"),
-		spike:      flag.Duration("serve-spike", time.Second, "spike phase duration (rate × -serve-spike-x)"),
-		roundEvery: flag.Duration("serve-round-every", 250*time.Millisecond, "collection-round cadence during the run"),
-		queue:      flag.Int("serve-queue", 4, "ingest queue capacity (rounds; oldest shed when full)"),
-		inflight:   flag.Int("serve-inflight", 64, "dash admission watermark (concurrent requests before 503)"),
-		cacheTTL:   flag.Duration("serve-cache-ttl", time.Second, "dash scrape-cache TTL"),
-		pStale:     flag.Float64("serve-stale", 0.05, "per-(host,round) probability a pooled keepalive went stale"),
-		out:        flag.String("serve-out", "BENCH_SERVE.json", "write the full report as JSON to this file (\"\" disables)"),
+// validateServe rejects sizes loadgen would otherwise silently replace
+// with its defaults.
+func validateServe(c *loadgen.Config) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"serve-agents", float64(c.Agents)},
+		{"serve-scrapers", float64(c.Scrapers)},
+		{"serve-rate", c.SustainRate},
+		{"serve-queue", float64(c.QueueCapacity)},
+		{"serve-inflight", float64(c.MaxInflight)},
+	} {
+		if !(f.v > 0) {
+			return fmt.Errorf("-%s must be positive, got %v", f.name, f.v)
+		}
 	}
+	return nil
 }
 
-// runServeStudy drives E15 and gates on its invariants: the study exits
-// non-zero if any request went unaccounted, any healthz probe failed, or
-// the ingest queue's accounting does not balance — so CI can assert
-// graceful degradation by exit status alone.
-func runServeStudy(ctx context.Context, seed string, o serveOpts) error {
-	cfg := loadgen.Config{
-		Seed:        seed + "/serve",
-		Agents:      *o.agents,
-		Scrapers:    *o.scrapers,
-		SustainRate: *o.rate, SpikeMultiplier: *o.spikeX,
-		Warmup: *o.warmup, Ramp: *o.ramp, Sustain: *o.sustain, Spike: *o.spike,
-		RoundEvery:    *o.roundEvery,
-		QueueCapacity: *o.queue,
-		MaxInflight:   *o.inflight,
-		CacheTTL:      *o.cacheTTL,
-		PStaleConn:    *o.pStale,
-	}
-	fmt.Printf("E15 serving-load study: %d agents, %d scrapers, %.0f rps sustain (spike ×%.1f), seed %q\n",
-		*o.agents, *o.scrapers, *o.rate, *o.spikeX, seed)
-	fmt.Printf("profile: warmup %v, ramp %v, sustain %v, spike %v; rounds every %v; watermark %d; queue %d; p(stale) %.2f\n\n",
-		*o.warmup, *o.ramp, *o.sustain, *o.spike, *o.roundEvery, *o.inflight, *o.queue, *o.pStale)
+// runServeStudy drives E15, prints and writes its report, and exits
+// through gateServe.
+func runServeStudy(ctx context.Context, seed string, cfg loadgen.Config, out string) error {
+	cfg.Seed = seed + "/serve"
+	fmt.Printf("E15 serving-load study: %d agents, %d scrapers, %.0f rps sustain, seed %q\n",
+		cfg.Agents, cfg.Scrapers, cfg.SustainRate, seed)
+	fmt.Printf("watermark %d; queue %d; p(stale) %.2f\n\n", cfg.MaxInflight, cfg.QueueCapacity, cfg.PStaleConn)
 
 	started := time.Now()
 	rep, err := loadgen.Run(ctx, cfg)
@@ -103,31 +91,45 @@ func runServeStudy(ctx context.Context, seed string, o serveOpts) error {
 		rep.Healthz.Probes, rep.Healthz.Failures, rep.Goroutines.Before, rep.Goroutines.After, rep.MirrorBytes)
 	fmt.Printf("wall time:  %v\n", time.Since(started).Round(time.Millisecond))
 
-	if *o.out != "" {
-		f, err := os.Create(*o.out)
-		if err != nil {
+	if out != "" {
+		if err := writeFile(out, rep.WriteJSON); err != nil {
 			return err
 		}
-		werr := rep.WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Printf("report written to %s\n", *o.out)
+		fmt.Printf("report written to %s\n", out)
 	}
+	return gateServe(rep)
+}
 
-	// Invariant gates: a study that sheds load is healthy; a study that
-	// loses track of load, or goes dark, is not.
-	if n := rep.Unaccounted(); n != 0 {
-		return fmt.Errorf("E15: %d requests unaccounted (arrivals != ok+rejected+errors+dropped)", n)
+// gateServe holds E15 to its degradation budget. A run that sheds load
+// is healthy; one that loses track of load, goes dark, leaks, or lets
+// scrape traffic break collection is not. It checks, in order: no
+// unaccounted request in any phase, sustain p99 within budget, at least
+// one healthz probe and none failed, balanced ingest accounting, no
+// goroutine leak, and no failed collection host-round.
+func gateServe(rep *loadgen.Report) error {
+	for _, p := range rep.Phases {
+		if p.Unaccounted != 0 {
+			return fmt.Errorf("E15: %s: %d requests unaccounted (arrivals != ok+rejected+errors+dropped)", p.Phase, p.Unaccounted)
+		}
 	}
-	if rep.Healthz.Failures > 0 {
-		return fmt.Errorf("E15: healthz failed %d of %d probes under load", rep.Healthz.Failures, rep.Healthz.Probes)
+	sustain := rep.PhaseByName("sustain")
+	if sustain == nil {
+		return fmt.Errorf("E15: report has no sustain phase")
 	}
-	if rep.Ingest.Offered != rep.Ingest.Done+rep.Ingest.Shed+rep.Ingest.Failed {
-		return fmt.Errorf("E15: ingest accounting broken: %+v", rep.Ingest)
+	if sustain.P99Ms > serveSustainP99Ms {
+		return fmt.Errorf("E15: sustain-phase p99 %.2f ms above the %.0f ms budget", sustain.P99Ms, serveSustainP99Ms)
+	}
+	if rep.Healthz.Probes == 0 || rep.Healthz.Failures != 0 {
+		return fmt.Errorf("E15: serving plane went dark under load: healthz failed %d of %d probes", rep.Healthz.Failures, rep.Healthz.Probes)
+	}
+	if ing := rep.Ingest; ing.Offered != ing.Done+ing.Shed+ing.Failed {
+		return fmt.Errorf("E15: ingest accounting broken: %+v", ing)
+	}
+	if g := rep.Goroutines; g.After > g.Before+serveGoroutineSlack {
+		return fmt.Errorf("E15: goroutine leak across the load run: %d -> %d", g.Before, g.After)
+	}
+	if n := rep.RoundsPlane.Failed; n != 0 {
+		return fmt.Errorf("E15: %d collection host-rounds failed under scrape load", n)
 	}
 	return nil
 }

@@ -30,17 +30,17 @@ type Config struct {
 	// Scrapers is the concurrent HTTP client fleet size (default 16).
 	Scrapers int
 	// SustainRate is the offered load in requests/second during the
-	// sustain phase (default 200). Warmup runs at a quarter of it.
+	// sustain phase (default 400). Warmup runs at a quarter of it.
 	SustainRate float64
 	// SpikeMultiplier scales SustainRate during the spike (default 5 —
 	// the "5× rated load" the degradation tests demand).
 	SpikeMultiplier float64
 
-	// Phase durations (defaults 200ms, 300ms, 1s, 500ms).
+	// Phase durations (defaults 500ms, 500ms, 3s, 1s — the E15 profile).
 	Warmup, Ramp, Sustain, Spike time.Duration
 
 	// RoundEvery is the collection-round cadence during the run
-	// (default 100ms); RoundConcurrency caps parallel host collections
+	// (default 250ms); RoundConcurrency caps parallel host collections
 	// (default 32).
 	RoundEvery       time.Duration
 	RoundConcurrency int
@@ -78,25 +78,25 @@ func (c Config) withDefaults() Config {
 		c.Scrapers = 16
 	}
 	if c.SustainRate <= 0 {
-		c.SustainRate = 200
+		c.SustainRate = 400
 	}
 	if c.SpikeMultiplier <= 0 {
 		c.SpikeMultiplier = 5
 	}
 	if c.Warmup <= 0 {
-		c.Warmup = 200 * time.Millisecond
+		c.Warmup = 500 * time.Millisecond
 	}
 	if c.Ramp <= 0 {
-		c.Ramp = 300 * time.Millisecond
+		c.Ramp = 500 * time.Millisecond
 	}
 	if c.Sustain <= 0 {
-		c.Sustain = time.Second
+		c.Sustain = 3 * time.Second
 	}
 	if c.Spike <= 0 {
-		c.Spike = 500 * time.Millisecond
+		c.Spike = time.Second
 	}
 	if c.RoundEvery <= 0 {
-		c.RoundEvery = 100 * time.Millisecond
+		c.RoundEvery = 250 * time.Millisecond
 	}
 	if c.RoundConcurrency <= 0 {
 		c.RoundConcurrency = 32
