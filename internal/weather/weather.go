@@ -65,8 +65,9 @@ type harmonic struct {
 	phase  float64 // radians
 }
 
-func (h harmonic) at(t time.Time, epoch time.Time) float64 {
-	x := t.Sub(epoch).Seconds() / h.period.Seconds()
+// at evaluates the harmonic sec seconds after the model's epoch.
+func (h harmonic) at(sec float64) float64 {
+	x := sec / h.period.Seconds()
 	return h.amp * math.Sin(2*math.Pi*x+h.phase)
 }
 
@@ -258,20 +259,23 @@ func (s *Synthetic) Clone() *Synthetic {
 func (s *Synthetic) CloneModel() Model { return s.Clone() }
 
 func (s *Synthetic) eval(t time.Time) Conditions {
+	elapsed := t.Sub(s.epoch)
+	sec := elapsed.Seconds()
 	elev := SolarElevation(s.latitude, t)
-	cloud := s.cloudFraction(t)
+	cloud := s.cloudFraction(sec)
 
-	temp := s.seasonal(t)
+	mean := s.seasonal(t)
+	temp := mean
 	// Diurnal cycle: coldest near 06:00, warmest near 15:00 local; its
 	// amplitude grows as the sun climbs through spring.
 	hour := float64(t.Hour()) + float64(t.Minute())/60
-	diurnalGrowth := 1 + math.Max(0, t.Sub(s.epoch).Hours()/24)*0.02
+	diurnalGrowth := 1 + math.Max(0, elapsed.Hours()/24)*0.02
 	temp += s.diurnalA * diurnalGrowth * math.Sin(2*math.Pi*(hour-10.5)/24)
 	for _, h := range s.synoptic {
-		temp += h.at(t, s.epoch)
+		temp += h.at(sec)
 	}
 	for _, h := range s.tempNoise {
-		temp += h.at(t, s.epoch)
+		temp += h.at(sec)
 	}
 	for _, c := range s.snaps {
 		temp += c.at(t)
@@ -279,17 +283,17 @@ func (s *Synthetic) eval(t time.Time) Conditions {
 
 	// RH: high base in winter; anticorrelated with temperature anomaly
 	// (cold snaps are dry, Arctic air), plus its own variation.
-	anomaly := temp - s.seasonal(t)
+	anomaly := temp - mean
 	rh := s.rhMean - 0.9*anomaly
 	for _, h := range s.humid {
-		rh += h.at(t, s.epoch)
+		rh += h.at(sec)
 	}
 	// Overcast air is moister.
 	rh += 8 * (cloud - 0.5)
 
 	wind := s.windMean
 	for _, h := range s.windH {
-		wind += h.at(t, s.epoch)
+		wind += h.at(sec)
 	}
 	if wind < 0 {
 		wind = 0
@@ -312,11 +316,11 @@ func (s *Synthetic) eval(t time.Time) Conditions {
 	}
 }
 
-// cloudFraction returns the 0..1 cloud cover at t.
-func (s *Synthetic) cloudFraction(t time.Time) float64 {
+// cloudFraction returns the 0..1 cloud cover sec seconds after the epoch.
+func (s *Synthetic) cloudFraction(sec float64) float64 {
 	c := 0.62 // Finnish winters are mostly overcast
 	for _, h := range s.cloudH {
-		c += h.at(t, s.epoch)
+		c += h.at(sec)
 	}
 	if c < 0 {
 		c = 0

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 	"time"
 )
 
@@ -71,6 +72,23 @@ func WriteTar(w io.Writer, tree *SourceTree) error {
 	return tw.Close()
 }
 
+// flateWriters holds BestCompression DEFLATE writers between blocks and
+// between calls: each carries about 1 MB of window and hash tables, far
+// more than the 8 KiB block it compresses. Reset makes a pooled writer
+// equivalent to a fresh one, so the output bits do not depend on which
+// writer compressed a block.
+var flateWriters = sync.Pool{New: func() any {
+	fw, err := flate.NewWriter(nil, flate.BestCompression)
+	if err != nil {
+		panic(err) // only an invalid level fails
+	}
+	return fw
+}}
+
+// fbzHeaderLen is the size of a block header: magic, raw length,
+// compressed length and CRC-32.
+const fbzHeaderLen = 18
+
 // CompressFBZ compresses a stream into the FBZ block format: a file magic
 // followed by independently DEFLATE-compressed blocks of blockSize
 // uncompressed bytes, each carrying the block magic, both lengths, and a
@@ -82,11 +100,14 @@ func CompressFBZ(w io.Writer, r io.Reader, blockSize int) (blocks int, err error
 	if _, err := w.Write(fbzFileMagic); err != nil {
 		return 0, err
 	}
+	fw := flateWriters.Get().(*flate.Writer)
+	defer flateWriters.Put(fw)
 	buf := make([]byte, blockSize)
+	var block bytes.Buffer
 	for {
 		n, rerr := io.ReadFull(r, buf)
 		if n > 0 {
-			if err := writeFBZBlock(w, buf[:n]); err != nil {
+			if err := writeFBZBlock(w, fw, &block, buf[:n]); err != nil {
 				return blocks, err
 			}
 			blocks++
@@ -100,45 +121,39 @@ func CompressFBZ(w io.Writer, r io.Reader, blockSize int) (blocks int, err error
 	}
 }
 
-func writeFBZBlock(w io.Writer, chunk []byte) error {
-	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestCompression)
-	if err != nil {
-		return err
-	}
+// writeFBZBlock frames chunk as one block in the reused buffer block and
+// writes it to w.
+func writeFBZBlock(w io.Writer, fw *flate.Writer, block *bytes.Buffer, chunk []byte) error {
+	block.Reset()
+	var hdr [fbzHeaderLen]byte
+	block.Write(hdr[:])
+	fw.Reset(block)
 	if _, err := fw.Write(chunk); err != nil {
 		return err
 	}
 	if err := fw.Close(); err != nil {
 		return err
 	}
-	var hdr [18]byte
-	copy(hdr[:6], fbzBlockMagic)
-	binary.BigEndian.PutUint32(hdr[6:10], uint32(len(chunk)))
-	binary.BigEndian.PutUint32(hdr[10:14], uint32(comp.Len()))
-	binary.BigEndian.PutUint32(hdr[14:18], crc32.ChecksumIEEE(chunk))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(comp.Bytes())
+	b := block.Bytes()
+	copy(b[:6], fbzBlockMagic)
+	binary.BigEndian.PutUint32(b[6:10], uint32(len(chunk)))
+	binary.BigEndian.PutUint32(b[10:14], uint32(len(b)-fbzHeaderLen))
+	binary.BigEndian.PutUint32(b[14:18], crc32.ChecksumIEEE(chunk))
+	_, err := w.Write(b)
 	return err
 }
 
 // DecompressFBZ expands an FBZ stream, verifying every block checksum.
+// Each block is written as soon as it has been verified, so a corrupt
+// block ends the output after the good blocks before it.
 func DecompressFBZ(w io.Writer, r io.Reader) error {
-	blocks, err := ScanFBZ(r)
-	if err != nil {
-		return err
-	}
-	for _, b := range blocks {
+	return scanFBZ(r, func(b BlockInfo, data []byte) error {
 		if !b.OK {
 			return fmt.Errorf("workload: block %d corrupt: %s", b.Index, b.Err)
 		}
-		if _, err := w.Write(b.Data); err != nil {
-			return err
-		}
-	}
-	return nil
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // BlockInfo is the result of scanning one FBZ block, in the spirit of
@@ -158,41 +173,68 @@ type BlockInfo struct {
 // tool the reproduction of §4.2.2 uses to show that exactly one block of
 // 396 was damaged.
 func ScanFBZ(r io.Reader) ([]BlockInfo, error) {
-	br := r
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("workload: reading file magic: %w", err)
+	var out []BlockInfo
+	err := scanFBZ(r, func(b BlockInfo, data []byte) error {
+		if b.OK {
+			b.Data = bytes.Clone(data)
+		}
+		out = append(out, b)
+		return nil
+	})
+	return out, err
+}
+
+// fbzScanner is the decode state scanFBZ reuses across blocks: one
+// DEFLATE reader, the compressed payload and the decoded content. The
+// readers live here, not on the stack, so that handing them to an
+// io.Reader parameter allocates nothing per block.
+type fbzScanner struct {
+	hdr     [fbzHeaderLen]byte
+	payload bytes.Buffer
+	data    bytes.Buffer
+	lim     io.LimitedReader
+	src     bytes.Reader
+	flate   io.Reader
+}
+
+// scanFBZ walks an FBZ stream and calls visit once per block, stopping at
+// the first error visit returns. Info.Data is left nil; data holds the
+// content of a good block and is valid only until visit returns.
+func scanFBZ(r io.Reader, visit func(info BlockInfo, data []byte) error) error {
+	s := &fbzScanner{}
+	magic := s.hdr[:len(fbzFileMagic)]
+	if _, err := io.ReadFull(r, magic); err != nil {
+		return fmt.Errorf("workload: reading file magic: %w", err)
 	}
 	if !bytes.Equal(magic, fbzFileMagic) {
-		return nil, ErrNotFBZ
+		return ErrNotFBZ
 	}
-	var out []BlockInfo
+	s.flate = flate.NewReader(&s.src)
 	for i := 0; ; i++ {
-		var hdr [18]byte
-		_, err := io.ReadFull(br, hdr[:])
+		hdr := s.hdr[:]
+		_, err := io.ReadFull(r, hdr)
 		if err == io.EOF {
-			return out, nil
+			return nil
 		}
 		if err != nil {
-			return out, fmt.Errorf("workload: block %d header: %w", i, err)
+			return fmt.Errorf("workload: block %d header: %w", i, err)
 		}
 		info := BlockInfo{Index: i}
 		if !bytes.Equal(hdr[:6], fbzBlockMagic) {
 			// Without the magic the stream is unframed; report and stop.
 			info.Err = "block magic missing"
-			out = append(out, info)
-			return out, nil
+			return visit(info, nil)
 		}
 		rawLen := binary.BigEndian.Uint32(hdr[6:10])
 		compLen := binary.BigEndian.Uint32(hdr[10:14])
 		wantCRC := binary.BigEndian.Uint32(hdr[14:18])
-		comp := make([]byte, compLen)
-		if _, err := io.ReadFull(br, comp); err != nil {
+		// The payload buffer grows only as bytes arrive: compLen comes
+		// from the stream and may be anything up to 4 GiB.
+		if err := s.readPayload(r, int64(compLen)); err != nil {
 			info.Err = fmt.Sprintf("truncated block payload: %v", err)
-			out = append(out, info)
-			return out, nil
+			return visit(info, nil)
 		}
-		data, err := io.ReadAll(flate.NewReader(bytes.NewReader(comp)))
+		data, err := s.decode()
 		switch {
 		case err != nil:
 			info.Err = fmt.Sprintf("deflate: %v", err)
@@ -202,10 +244,44 @@ func ScanFBZ(r io.Reader) ([]BlockInfo, error) {
 			info.Err = "CRC mismatch"
 		default:
 			info.OK = true
-			info.Data = data
 		}
-		out = append(out, info)
+		if !info.OK {
+			data = nil
+		}
+		if err := visit(info, data); err != nil {
+			return err
+		}
 	}
+}
+
+// readPayload reads exactly n bytes of r into s.payload. A short read
+// fails the way io.ReadFull does: io.EOF when nothing arrived,
+// io.ErrUnexpectedEOF when some did, or the reader's own error.
+func (s *fbzScanner) readPayload(r io.Reader, n int64) error {
+	s.payload.Reset()
+	s.lim = io.LimitedReader{R: r, N: n}
+	got, err := s.payload.ReadFrom(&s.lim)
+	switch {
+	case got == n:
+		return nil
+	case err != nil:
+		return err
+	case got == 0:
+		return io.EOF
+	default:
+		return io.ErrUnexpectedEOF
+	}
+}
+
+// decode inflates s.payload into s.data.
+func (s *fbzScanner) decode() ([]byte, error) {
+	s.src.Reset(s.payload.Bytes())
+	if err := s.flate.(flate.Resetter).Reset(&s.src, nil); err != nil {
+		return nil, err
+	}
+	s.data.Reset()
+	_, err := s.data.ReadFrom(s.flate)
+	return s.data.Bytes(), err
 }
 
 // Pack runs the full §3.5 pipeline: tar the tree, compress to FBZ, and
@@ -213,13 +289,17 @@ func ScanFBZ(r io.Reader) ([]BlockInfo, error) {
 // so callers can store the tarball when verification fails ("If the
 // results differ, the packed tarball is stored").
 func Pack(tree *SourceTree, blockSize int) ([]byte, ArchiveResult, error) {
-	var tarBuf bytes.Buffer
-	if err := WriteTar(&tarBuf, tree); err != nil {
+	// A USTAR member is a 512-byte header plus its data padded to 512
+	// bytes, and two zero records end the stream.
+	tarBuf := bytes.NewBuffer(make([]byte, 0, tree.TotalBytes()+int64(tree.NumFiles())*1024+1024))
+	if err := WriteTar(tarBuf, tree); err != nil {
 		return nil, ArchiveResult{}, err
 	}
 	tarBytes := int64(tarBuf.Len())
-	var out bytes.Buffer
-	blocks, err := CompressFBZ(&out, &tarBuf, blockSize)
+	// Generated source compresses to about a third of its tar stream, so
+	// half of it holds the archive without regrowing the buffer.
+	out := bytes.NewBuffer(make([]byte, 0, len(fbzFileMagic)+tarBuf.Len()/2))
+	blocks, err := CompressFBZ(out, tarBuf, blockSize)
 	if err != nil {
 		return nil, ArchiveResult{}, err
 	}

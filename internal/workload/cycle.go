@@ -182,14 +182,14 @@ func (r *Runner) RunCycle(now time.Time, corrupt bool) (CycleResult, error) {
 		key := now.UTC().Format(time.RFC3339)
 		r.storedArchives[key] = archive
 		// bzip2recover-style forensics on the stored archive.
-		blocks, err := ScanFBZ(bytes.NewReader(archive))
-		if err != nil {
-			return CycleResult{}, err
-		}
-		for _, b := range blocks {
+		err := scanFBZ(bytes.NewReader(archive), func(b BlockInfo, _ []byte) error {
 			if !b.OK {
 				out.BadBlocks = append(out.BadBlocks, b.Index)
 			}
+			return nil
+		})
+		if err != nil {
+			return CycleResult{}, err
 		}
 	}
 	r.results = append(r.results, out)

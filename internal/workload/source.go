@@ -87,34 +87,57 @@ func GenerateTree(seed string, files int, totalBytes int64) (*SourceTree, error)
 	return tree, nil
 }
 
-// generateCLike emits pseudo-C text of roughly n bytes.
+// generateCLike emits pseudo-C text of roughly n bytes. The RNG draws
+// (including the word-count bound, redrawn on every test of the inner
+// loop's condition) are what fix the tree's bytes, so their order must not
+// change.
 func generateCLike(rng *rand.Rand, n int) []byte {
-	var b strings.Builder
-	b.Grow(n + 64)
+	const tabs = "\t\t\t\t" // indent never exceeds 4
+	b := make([]byte, 0, n+64)
+	var words [8]string // the inner loop's bound is at most 8
 	indent := 0
-	for b.Len() < n {
-		line := make([]string, 0, 8)
+	for len(b) < n {
+		line := words[:0]
 		for w := 0; w < 3+rng.Intn(6); w++ {
 			line = append(line, sourceWords[rng.Intn(len(sourceWords))])
 		}
 		switch rng.Intn(10) {
 		case 0:
-			b.WriteString(strings.Repeat("\t", indent) + "/* " + strings.Join(line, " ") + " */\n")
+			b = append(b, tabs[:indent]...)
+			b = append(b, "/* "...)
+			b = appendJoined(b, line, ' ')
+			b = append(b, " */\n"...)
 		case 1:
 			if indent < 4 {
-				b.WriteString(strings.Repeat("\t", indent) + strings.Join(line, " ") + " {\n")
+				b = append(b, tabs[:indent]...)
+				b = appendJoined(b, line, ' ')
+				b = append(b, " {\n"...)
 				indent++
 			}
 		case 2:
 			if indent > 0 {
 				indent--
 			}
-			b.WriteString(strings.Repeat("\t", indent) + "}\n")
+			b = append(b, tabs[:indent]...)
+			b = append(b, "}\n"...)
 		default:
-			b.WriteString(strings.Repeat("\t", indent) + strings.Join(line, "_") + ";\n")
+			b = append(b, tabs[:indent]...)
+			b = appendJoined(b, line, '_')
+			b = append(b, ";\n"...)
 		}
 	}
-	return []byte(b.String())
+	return b
+}
+
+// appendJoined appends words to b, separated by sep.
+func appendJoined(b []byte, words []string, sep byte) []byte {
+	for i, w := range words {
+		if i > 0 {
+			b = append(b, sep)
+		}
+		b = append(b, w...)
+	}
+	return b
 }
 
 // Files returns the tree's files, sorted by path.
