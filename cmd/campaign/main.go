@@ -34,29 +34,51 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "campaign:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	reps := flag.Int("reps", 16, "replicates per sweep point")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers")
-	seed := flag.String("seed", "winter0910", "campaign master seed (replicate i uses <seed>/rep/<i>)")
-	days := flag.Int("days", 0, "override the normal-phase length in days (0 = paper horizon)")
-	climates := flag.String("climates", "", "comma-separated climate presets to sweep (empty = reference winter)")
-	fleets := flag.String("fleets", "", "comma-separated fleet sizes (tent/basement pairs) to sweep")
-	monitors := flag.String("monitors", "", "comma-separated monitoring cadences to sweep (e.g. 0,20m,2h)")
-	mods := flag.String("mods", "", "sweep the R/I/B/F modification ladder: on,off")
-	checkpoint := flag.String("checkpoint", "campaign-checkpoints", "checkpoint directory (\"\" disables persistence)")
-	grid := flag.Duration("grid", campaign.DefaultEnvelopeGrid, "resampling bucket for cross-run envelopes")
-	boot := flag.Int("bootstrap", 1000, "bootstrap iterations for the mean-rate CI")
-	verbose := flag.Bool("v", false, "print one line per finished replicate")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz, /buildinfo and net/http/pprof on this address while the campaign runs")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
+	reps := fs.Int("reps", 16, "replicates per sweep point")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel simulation workers")
+	seed := fs.String("seed", "winter0910", "campaign master seed (replicate i uses <seed>/rep/<i>)")
+	days := fs.Int("days", 0, "override the normal-phase length in days (0 = paper horizon)")
+	climates := fs.String("climates", "", "comma-separated climate presets to sweep (empty = reference winter)")
+	fleets := fs.String("fleets", "", "comma-separated fleet sizes (tent/basement pairs) to sweep")
+	monitors := fs.String("monitors", "", "comma-separated monitoring cadences to sweep (e.g. 0,20m,2h)")
+	mods := fs.String("mods", "", "sweep the R/I/B/F modification ladder: on,off")
+	checkpoint := fs.String("checkpoint", "campaign-checkpoints", "checkpoint directory (\"\" disables persistence)")
+	grid := fs.Duration("grid", campaign.DefaultEnvelopeGrid, "resampling bucket for cross-run envelopes")
+	boot := fs.Int("bootstrap", 1000, "bootstrap iterations for the mean-rate CI")
+	verbose := fs.Bool("v", false, "print one line per finished replicate")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /healthz, /buildinfo and net/http/pprof on this address while the campaign runs")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *reps < 1 {
+		return fmt.Errorf("-reps must be positive, got %d", *reps)
+	}
+	if *workers < 1 {
+		return fmt.Errorf("-workers must be positive, got %d", *workers)
+	}
+	if *days < 0 {
+		return fmt.Errorf("-days must not be negative, got %d", *days)
+	}
+	if *grid <= 0 {
+		return fmt.Errorf("-grid must be positive, got %v", *grid)
+	}
+	if *boot < 1 {
+		return fmt.Errorf("-bootstrap must be positive, got %d", *boot)
+	}
+	sweep, err := parseSweep(*climates, *fleets, *monitors, *mods)
+	if err != nil {
+		return err
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -92,10 +114,7 @@ func run() error {
 		EnvelopeGrid:   *grid,
 		BootstrapIters: *boot,
 		CheckpointDir:  *checkpoint,
-	}
-	var err error
-	if spec.Sweep, err = parseSweep(*climates, *fleets, *monitors, *mods); err != nil {
-		return err
+		Sweep:          sweep,
 	}
 	if *debugAddr != "" {
 		reg := telemetry.NewRegistry()

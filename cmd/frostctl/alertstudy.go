@@ -340,7 +340,6 @@ func runDamperArm(seed string, days, stuckTick int) (armResult, error) {
 		ctl.Setpoint = -5
 		cfg.Control = &ctl
 		cfg.ActuatorChaos = &chaos.ActuatorSpec{
-			Seed:  seed + "/actuator",
 			Stuck: map[string][]chaos.RoundRange{"damper": {{From: stuckTick}}},
 		}
 		var err error

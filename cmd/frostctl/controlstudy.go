@@ -42,7 +42,9 @@ type controlScenario struct {
 	days int // 0 = the paper horizon
 }
 
-func runControlStudy(seed string, co controlOpts) error {
+// controlStudy runs every scenario's open and closed arm and returns the
+// table rows together with the closed arms' rendered figures.
+func controlStudy(seed string, co controlOpts) ([]report.ControlRow, []string, error) {
 	cc := control.DefaultConfig()
 	cc.Setpoint = units.Celsius(*co.setpoint)
 	switch *co.mode {
@@ -51,13 +53,13 @@ func runControlStudy(seed string, co controlOpts) error {
 	case "hysteresis":
 		cc.Mode = control.ModeHysteresis
 	default:
-		return fmt.Errorf("unknown control mode %q (want pid or hysteresis)", *co.mode)
+		return nil, nil, fmt.Errorf("unknown control mode %q (want pid or hysteresis)", *co.mode)
 	}
 	var actuator *chaos.ActuatorSpec
 	if *co.stuck != "" {
 		ranges, err := parseSchedule("damper=" + *co.stuck)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		actuator = &chaos.ActuatorSpec{Stuck: ranges}
 	}
@@ -87,11 +89,11 @@ func runControlStudy(seed string, co controlOpts) error {
 			start := time.Now()
 			exp, err := core.New(cfg)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			r, err := exp.Run()
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			frac, n := report.EnvelopeResidency(r, cc.Envelope)
 			row := report.ControlRow{
@@ -106,13 +108,22 @@ func runControlStudy(seed string, co controlOpts) error {
 				row.FallbackTicks = r.Control.Stats.FallbackTicks
 				fig, err := report.FigControl(r)
 				if err != nil {
-					return err
+					return nil, nil, err
 				}
 				closedFigs = append(closedFigs, fmt.Sprintf("[%s closed-loop]\n\n%s", sc.name, fig))
 			}
 			rows = append(rows, row)
 			fmt.Printf("  done in %.1fs\n", time.Since(start).Seconds())
 		}
+	}
+	return rows, closedFigs, nil
+}
+
+// runControlStudy runs E14 and prints its table and the closed-loop figures.
+func runControlStudy(seed string, co controlOpts) error {
+	rows, closedFigs, err := controlStudy(seed, co)
+	if err != nil {
+		return err
 	}
 	fmt.Println()
 	fmt.Println(report.TableControlStudy(rows))

@@ -255,7 +255,4 @@ func listPolicies() {
 	for _, p := range control.Policies() {
 		fmt.Printf("\n%s — %s\n", p.Name, p.Description)
 	}
-	def := control.DefaultFollowConfig()
-	fmt.Printf("\nfollow-* hysteresis defaults: switch margin %.0f%%, hold %d ticks\n",
-		100*def.SwitchMargin, def.HoldTicks)
 }

@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"flag"
+	"fmt"
+	"testing"
+
+	"frostlab/internal/core"
+)
 
 // econSweepDigest is the E17 sweep's replay identity at the committed
 // configuration.
@@ -68,4 +74,53 @@ func mustReadReference[T any](t *testing.T, path string) *T {
 		t.Fatalf("%s is missing", path)
 	}
 	return ref
+}
+
+// TestControlStudyTable pins the E14 table at the reference seed: the
+// default run, and a damper stuck from control tick 2000 to the end.
+func TestControlStudyTable(t *testing.T) {
+	type want struct {
+		scenario, arm string
+		envelope      string // residency, as the table prints it
+		samples       int
+		kWh           string
+		fallback      int
+	}
+	for _, tc := range []struct {
+		args []string
+		rows []want
+	}{
+		{nil, []want{
+			{"winter0910", "open-loop", "44.9", 9982, "636", 0},
+			{"winter0910", "closed-loop", "66.6", 9999, "694", 0},
+			{"springmelt", "open-loop", "74.1", 23947, "2010", 0},
+			{"springmelt", "closed-loop", "85.9", 23982, "2069", 0},
+		}},
+		{[]string{"-control-stuck", "2000-"}, []want{
+			{"winter0910", "open-loop", "44.9", 9982, "636", 0},
+			{"winter0910", "closed-loop", "66.7", 10004, "694", 4887},
+			{"springmelt", "open-loop", "74.1", 23947, "2010", 0},
+			{"springmelt", "closed-loop", "78.7", 24017, "2069", 18999},
+		}},
+	} {
+		fs := flag.NewFlagSet("control", flag.ContinueOnError)
+		co := controlFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		rows, _, err := controlStudy(core.ReferenceSeed, co)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != len(tc.rows) {
+			t.Fatalf("%q: %d rows, want %d", tc.args, len(rows), len(tc.rows))
+		}
+		for i, r := range rows {
+			got := want{r.Scenario, r.Arm, fmt.Sprintf("%.1f", 100*r.EnvelopeFraction),
+				r.Samples, fmt.Sprintf("%.0f", r.TentEnergyKWh), r.FallbackTicks}
+			if got != tc.rows[i] || r.GuardTrips != 0 {
+				t.Errorf("%q row %d: %+v (guard trips %d), want %+v", tc.args, i, got, r.GuardTrips, tc.rows[i])
+			}
+		}
+	}
 }

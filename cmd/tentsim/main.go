@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -33,23 +34,38 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "tentsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	powerW := flag.Float64("power", 1400, "equipment heat load in watts")
-	mods := flag.String("mods", "", "modifications to apply, letters from RIBF")
-	days := flag.Int("days", 7, "simulated days")
-	seed := flag.String("seed", "winter0910", "weather seed")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	tents := flag.Int("tents", 0, "simulate a synthetic fleet of this many tents via the sharded engine (0 = single analytic tent)")
-	hostsPerTent := flag.Int("hosts-per-tent", 9, "hosts per synthetic tent (with -tents)")
-	shards := flag.Int("shards", 0, "shard count for the synthetic fleet; <= 0 selects GOMAXPROCS. Results are byte-identical at any shard count or GOMAXPROCS")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("tentsim", flag.ContinueOnError)
+	powerW := fs.Float64("power", 1400, "equipment heat load in watts")
+	mods := fs.String("mods", "", "modifications to apply, letters from RIBF")
+	days := fs.Int("days", 7, "simulated days")
+	seed := fs.String("seed", "winter0910", "weather seed")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
+	tents := fs.Int("tents", 0, "simulate a synthetic fleet of this many tents via the sharded engine (0 = single analytic tent)")
+	hostsPerTent := fs.Int("hosts-per-tent", 9, "hosts per synthetic tent (with -tents)")
+	shards := fs.Int("shards", 0, "shard count for the synthetic fleet; <= 0 selects GOMAXPROCS. Results are byte-identical at any shard count or GOMAXPROCS")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *powerW < 0 {
+		return fmt.Errorf("-power must be non-negative")
+	}
+	if *days <= 0 {
+		return fmt.Errorf("-days must be positive")
+	}
+	if *tents < 0 {
+		return fmt.Errorf("-tents must not be negative, got %d", *tents)
+	}
+	if *tents > 0 && *mods != "" {
+		return fmt.Errorf("-mods does not apply with -tents; the scale run follows the experiment's modification calendar")
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -77,16 +93,7 @@ func run() error {
 		}()
 	}
 
-	if *powerW < 0 {
-		return fmt.Errorf("-power must be non-negative")
-	}
-	if *days <= 0 {
-		return fmt.Errorf("-days must be positive")
-	}
 	if *tents > 0 {
-		if *mods != "" {
-			return fmt.Errorf("-mods does not apply with -tents; the scale run follows the experiment's modification calendar")
-		}
 		return runFleet(*seed, *tents, *hostsPerTent, *shards, *days)
 	}
 	tent, err := thermal.NewTent(thermal.DefaultTentConfig())

@@ -47,29 +47,10 @@ type Spec struct {
 	Seed string
 	// Reps is the number of replicates per sweep point.
 	Reps int
-	// Workers is the worker-pool width; <= 0 selects GOMAXPROCS. With
-	// Tents set, Workers instead becomes the per-run shard count — the
-	// shard, not the replicate, is then the unit of parallel work.
+	// Workers is the worker-pool width; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Days overrides the normal-phase length (0 = the paper horizon).
 	Days int
-	// Tents switches the campaign to the sharded scale engine
-	// (core.NewSharded): each replicate simulates a synthetic fleet of
-	// Tents × HostsPerTent hosts instead of the paired reference fleet.
-	// Scale campaigns run replicates sequentially with Workers shards
-	// inside each run, and are incompatible with the monitoring, fleet
-	// and control sweep axes.
-	Tents int
-	// HostsPerTent sizes each synthetic tent; <= 0 selects the paper's
-	// nine-host mix.
-	HostsPerTent int
-	// shards is the resolved per-run shard count of a scale campaign.
-	shards int
-	// MonitorEvery is the collection cadence for runs; campaigns default
-	// to 0 (monitoring disabled) because the rsync plane costs far more
-	// than the physics and contributes nothing to pooled reliability
-	// statistics. Sweep.MonitorEvery overrides per point.
-	MonitorEvery time.Duration
 	// EnvelopeGrid is the resampling bucket for cross-run envelopes;
 	// <= 0 selects DefaultEnvelopeGrid.
 	EnvelopeGrid time.Duration
@@ -104,7 +85,9 @@ type Sweep struct {
 	// FleetPairs are fleet sizes in tent/basement host pairs
 	// (0 = the paper's reference fleet with its Fig. 2 timeline).
 	FleetPairs []int
-	// MonitorEvery are collection cadences (0 = monitoring disabled).
+	// MonitorEvery are collection cadences. Empty pins 0 (monitoring
+	// disabled): the rsync plane costs far more than the physics and
+	// contributes nothing to pooled reliability statistics.
 	MonitorEvery []time.Duration
 	// Mods toggles the R/I/B/F modification ladder.
 	Mods []bool
@@ -156,7 +139,7 @@ func (s *Spec) points() []point {
 	}
 	monitors := s.Sweep.MonitorEvery
 	if len(monitors) == 0 {
-		monitors = []time.Duration{s.MonitorEvery}
+		monitors = []time.Duration{0}
 	}
 	mods := s.Sweep.Mods
 	if len(mods) == 0 {
@@ -246,18 +229,6 @@ func (s *Spec) config(pt point, rep int) (core.Config, error) {
 	cfg.MonitorEvery = pt.monitor
 	if s.Days > 0 {
 		cfg.End = cfg.Start.AddDate(0, 0, s.Days)
-	}
-	if s.Tents > 0 {
-		hpt := s.HostsPerTent
-		if hpt <= 0 {
-			hpt = 9
-		}
-		fleet, err := hardware.SyntheticFleet(s.Tents, hpt, seed)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Fleet = fleet
-		cfg.MonitorEvery = 0
 	}
 	if !pt.mods {
 		cfg.Modifications = nil

@@ -6,13 +6,9 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 
-	"frostlab/internal/climate"
 	"frostlab/internal/control"
 	"frostlab/internal/core"
-	"frostlab/internal/econ"
-	"frostlab/internal/units"
 )
 
 // Econ sweep: the E17 study's engine. A sweep cell is one multi-site run
@@ -23,13 +19,13 @@ import (
 // numbers: policies compete on identical weather and tariff sample
 // paths), and the whole sweep digests to a single replay identity.
 
-// SiteSet is one value of the climate axis: a named fleet composition,
+// siteSet is one value of the climate axis: a named fleet composition,
 // one site per climate family.
-type SiteSet struct {
-	// Name labels the set in cells and tables.
-	Name string
-	// Climates are scenario-library family names; each becomes a site.
-	Climates []string
+type siteSet struct {
+	// name labels the set in cells and tables.
+	name string
+	// climates are scenario-library family names; each becomes a site.
+	climates []string
 }
 
 // pairedTariff is the price-regime value meaning "each climate keeps its
@@ -46,6 +42,18 @@ var pairing = map[string]string{
 	"monsoon":     "coal-peaker",
 }
 
+// The sweep's fixed axes besides policy (every registered
+// control.Policies entry): two fleets and two price regimes. "paired"
+// keeps each climate's geographic tariff; "flat" applies the flat tariff
+// fleet-wide.
+var (
+	econSets = []siteSet{
+		{name: "continental", climates: []string{"helsinki", "desert", "tropical"}},
+		{name: "coastal", climates: []string{"helsinki", "coastal-fog", "monsoon"}},
+	}
+	econTariffs = []string{pairedTariff, "flat"}
+)
+
 // EconSpec configures an econ sweep.
 type EconSpec struct {
 	// Seed is the master seed. Weather and tariff streams derive from it
@@ -56,21 +64,6 @@ type EconSpec struct {
 	Days int
 	// HostsPerSite sizes every site; 0 selects 9.
 	HostsPerSite int
-	// Policies is the placement-policy axis; empty selects every
-	// registered policy (control.Policies).
-	Policies []string
-	// Sets is the climate axis; empty selects the two default fleets
-	// (continental: helsinki/desert/tropical; coastal:
-	// helsinki/coastal-fog/monsoon).
-	Sets []SiteSet
-	// Tariffs is the price-regime axis; empty selects {paired, flat}.
-	// "paired" keeps each climate's geographic tariff; any econ tariff
-	// name applies that tariff fleet-wide.
-	Tariffs []string
-	// DemandPerHost and MigrationCost pass through to every cell's
-	// MultiSiteConfig (zero values select its defaults).
-	DemandPerHost float64
-	MigrationCost units.KilowattHours
 	// Progress, when non-nil, is called after each completed cell.
 	Progress func(done, total int, cell *EconCell)
 }
@@ -89,65 +82,16 @@ func (s *EconSpec) withDefaults() EconSpec {
 	if out.HostsPerSite == 0 {
 		out.HostsPerSite = 9
 	}
-	if len(out.Policies) == 0 {
-		for _, p := range control.Policies() {
-			out.Policies = append(out.Policies, p.Name)
-		}
-	}
-	if len(out.Sets) == 0 {
-		out.Sets = []SiteSet{
-			{Name: "continental", Climates: []string{"helsinki", "desert", "tropical"}},
-			{Name: "coastal", Climates: []string{"helsinki", "coastal-fog", "monsoon"}},
-		}
-	}
-	if len(out.Tariffs) == 0 {
-		out.Tariffs = []string{pairedTariff, "flat"}
-	}
 	return out
 }
 
 // Validate rejects specs that would build invalid cells.
 func (s *EconSpec) Validate() error {
-	d := s.withDefaults()
-	if d.Seed == "" {
+	if s.Seed == "" {
 		return fmt.Errorf("campaign: econ spec needs a seed")
 	}
-	if d.Days < 1 {
-		return fmt.Errorf("campaign: econ horizon %d days out of range", d.Days)
-	}
-	for _, p := range d.Policies {
-		if _, err := control.NewSitePolicy(p, 1); err != nil {
-			return fmt.Errorf("campaign: %w", err)
-		}
-	}
-	seen := map[string]bool{}
-	for _, set := range d.Sets {
-		if set.Name == "" {
-			return fmt.Errorf("campaign: unnamed site set")
-		}
-		if seen[set.Name] {
-			return fmt.Errorf("campaign: duplicate site set %q", set.Name)
-		}
-		seen[set.Name] = true
-		if len(set.Climates) == 0 {
-			return fmt.Errorf("campaign: site set %q has no climates", set.Name)
-		}
-		for _, c := range set.Climates {
-			if _, err := climate.Lookup(c); err != nil {
-				return fmt.Errorf("campaign: set %q: %w", set.Name, err)
-			}
-			if pairing[c] == "" {
-				return fmt.Errorf("campaign: set %q: climate %q has no paired tariff", set.Name, c)
-			}
-		}
-	}
-	for _, tf := range d.Tariffs {
-		if tf == pairedTariff {
-			continue
-		}
-		if _, err := econ.LookupTariff(tf); err != nil {
-			return fmt.Errorf("campaign: %w", err)
-		}
+	if s.Days < 0 {
+		return fmt.Errorf("campaign: econ horizon %d days out of range", s.Days)
 	}
 	return nil
 }
@@ -222,17 +166,12 @@ func (s *EconSummary) Advantage(policy, baseline string) ([]string, map[string]f
 
 // econConfig builds one cell's MultiSiteConfig. The seed folds in the set
 // and tariff regime but deliberately not the policy.
-func (s *EconSpec) econConfig(set SiteSet, tariff, policy string) core.MultiSiteConfig {
-	d := s.withDefaults()
-	cfg := core.DefaultMultiSiteConfig(fmt.Sprintf("%s/econ/%s/%s", d.Seed, set.Name, tariff))
-	cfg.End = cfg.Start.AddDate(0, 0, d.Days)
+func (s *EconSpec) econConfig(set siteSet, tariff, policy string) core.MultiSiteConfig {
+	cfg := core.DefaultMultiSiteConfig(fmt.Sprintf("%s/econ/%s/%s", s.Seed, set.name, tariff))
+	cfg.End = cfg.Start.AddDate(0, 0, s.Days)
 	cfg.Policy = policy
-	cfg.DemandPerHost = d.DemandPerHost
-	if d.MigrationCost != 0 {
-		cfg.MigrationCost = d.MigrationCost
-	}
 	cfg.Sites = cfg.Sites[:0]
-	for _, c := range set.Climates {
+	for _, c := range set.climates {
 		tf := tariff
 		if tf == pairedTariff {
 			tf = pairing[c]
@@ -241,7 +180,7 @@ func (s *EconSpec) econConfig(set SiteSet, tariff, policy string) core.MultiSite
 			Name:    c,
 			Climate: c,
 			Tariff:  tf,
-			Hosts:   d.HostsPerSite,
+			Hosts:   s.HostsPerSite,
 		})
 	}
 	return cfg
@@ -255,28 +194,29 @@ func RunEcon(spec EconSpec) (*EconSummary, error) {
 		return nil, err
 	}
 	d := spec.withDefaults()
-	total := len(d.Policies) * len(d.Sets) * len(d.Tariffs)
+	policies := control.Policies()
+	total := len(policies) * len(econSets) * len(econTariffs)
 	sum := &EconSummary{Seed: d.Seed, Days: d.Days, Cells: make([]EconCell, 0, total)}
-	for _, policy := range d.Policies {
-		for _, set := range d.Sets {
-			for _, tariff := range d.Tariffs {
-				cfg := d.econConfig(set, tariff, policy)
+	for _, p := range policies {
+		for _, set := range econSets {
+			for _, tariff := range econTariffs {
+				cfg := d.econConfig(set, tariff, p.Name)
+				label := strings.Join([]string{p.Name, set.name, tariff}, "/")
 				eng, err := core.NewMultiSite(cfg)
 				if err != nil {
-					return nil, fmt.Errorf("campaign: econ cell %s/%s/%s: %w", policy, set.Name, tariff, err)
+					return nil, fmt.Errorf("campaign: econ cell %s: %w", label, err)
 				}
 				r, err := eng.Run()
 				if err != nil {
-					return nil, fmt.Errorf("campaign: econ cell %s/%s/%s: %w", policy, set.Name, tariff, err)
+					return nil, fmt.Errorf("campaign: econ cell %s: %w", label, err)
 				}
-				cell := EconCell{
-					Policy: policy,
-					Set:    set.Name,
+				sum.Cells = append(sum.Cells, EconCell{
+					Policy: p.Name,
+					Set:    set.name,
 					Tariff: tariff,
-					Label:  strings.Join([]string{policy, set.Name, tariff}, "/"),
+					Label:  label,
 					Result: r,
-				}
-				sum.Cells = append(sum.Cells, cell)
+				})
 				if d.Progress != nil {
 					d.Progress(len(sum.Cells), total, &sum.Cells[len(sum.Cells)-1])
 				}
@@ -284,9 +224,4 @@ func RunEcon(spec EconSpec) (*EconSummary, error) {
 		}
 	}
 	return sum, nil
-}
-
-// EconCellSeconds estimates one cell's simulated span, for progress UIs.
-func (s *EconSpec) EconCellSeconds() float64 {
-	return float64(time.Duration(s.withDefaults().Days) * 24 * time.Hour / time.Second)
 }

@@ -133,16 +133,18 @@ func TestEconSpecValidate(t *testing.T) {
 	bad := []EconSpec{
 		{Seed: ""},
 		{Seed: "x", Days: -1},
-		{Seed: "x", Policies: []string{"chase-the-sun"}},
-		{Seed: "x", Sets: []SiteSet{{Name: "", Climates: []string{"helsinki"}}}},
-		{Seed: "x", Sets: []SiteSet{{Name: "a", Climates: []string{"helsinki"}}, {Name: "a", Climates: []string{"desert"}}}},
-		{Seed: "x", Sets: []SiteSet{{Name: "a"}}},
-		{Seed: "x", Sets: []SiteSet{{Name: "a", Climates: []string{"atlantis"}}}},
-		{Seed: "x", Tariffs: []string{"barter"}},
 	}
 	for i := range bad {
 		if err := bad[i].Validate(); err == nil {
 			t.Errorf("bad spec %d accepted", i)
+		}
+	}
+	// Every fixed-axis climate has a paired tariff, so every cell builds.
+	for _, set := range econSets {
+		for _, c := range set.climates {
+			if pairing[c] == "" {
+				t.Errorf("set %s: climate %s has no paired tariff", set.name, c)
+			}
 		}
 	}
 }

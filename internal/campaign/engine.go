@@ -35,18 +35,6 @@ func Run(ctx context.Context, spec Spec) (*Summary, error) {
 	if spec.Workers <= 0 {
 		spec.Workers = runtime.GOMAXPROCS(0)
 	}
-	if spec.Tents > 0 {
-		// Scale campaigns move the parallelism inside each run: one
-		// replicate at a time, Workers shards stepping its tents. The
-		// sharded engine is open-loop and unmonitored, so the sweep axes
-		// that reconfigure those planes cannot apply.
-		if len(spec.Sweep.ControlSetpoints) > 0 || len(spec.Sweep.ControlGains) > 0 ||
-			len(spec.Sweep.MonitorEvery) > 0 || len(spec.Sweep.FleetPairs) > 0 {
-			return nil, fmt.Errorf("campaign: Tents is incompatible with the control, monitoring and fleet sweep axes")
-		}
-		spec.shards = spec.Workers
-		spec.Workers = 1
-	}
 	if spec.EnvelopeGrid <= 0 {
 		spec.EnvelopeGrid = DefaultEnvelopeGrid
 	}
@@ -146,29 +134,15 @@ func (s *Spec) runOne(ctx context.Context, j job) (rs RunSummary) {
 		rs.Err = err.Error()
 		return rs
 	}
-	var r *core.Results
-	if s.Tents > 0 {
-		exp, err := core.NewSharded(cfg, s.shards)
-		if err != nil {
-			rs.Err = err.Error()
-			return rs
-		}
-		r, err = exp.RunContext(ctx)
-		if err != nil {
-			rs.Err = err.Error()
-			return rs
-		}
-	} else {
-		exp, err := core.New(cfg)
-		if err != nil {
-			rs.Err = err.Error()
-			return rs
-		}
-		r, err = exp.RunContext(ctx)
-		if err != nil {
-			rs.Err = err.Error()
-			return rs
-		}
+	exp, err := core.New(cfg)
+	if err != nil {
+		rs.Err = err.Error()
+		return rs
+	}
+	r, err := exp.RunContext(ctx)
+	if err != nil {
+		rs.Err = err.Error()
+		return rs
 	}
 	sum, err := Summarize(r, s.EnvelopeGrid)
 	if err != nil {

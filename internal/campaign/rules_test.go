@@ -21,12 +21,14 @@ record out_copy value($outside_temp)
 `)
 	spec := func(workers int) campaign.Spec {
 		return campaign.Spec{
-			Seed:         "alerts-determinism",
-			Reps:         4,
-			Workers:      workers,
-			Days:         2,
-			MonitorEvery: 20 * time.Minute,
-			Sweep:        campaign.Sweep{FleetPairs: []int{2}},
+			Seed:    "alerts-determinism",
+			Reps:    4,
+			Workers: workers,
+			Days:    2,
+			Sweep: campaign.Sweep{
+				FleetPairs:   []int{2},
+				MonitorEvery: []time.Duration{20 * time.Minute},
+			},
 			Mutate: func(rep int, cfg *core.Config) {
 				cfg.Rules = set
 			},

@@ -1,18 +1,14 @@
 package control
 
-import (
-	"fmt"
-
-	"frostlab/internal/chaos"
-)
+import "fmt"
 
 // Damper is the modelled ventilation actuator: a slew-limited mechanism
 // tracking a commanded position in [0, 1]. The position maps onto the
 // paper's R/I/B/F envelope ladder via thermal.Tent.SetVentilation — 0 is
 // the fully closed winter tent, 1 is foil + inner tent removed + bottom
-// open + fan. Injected actuator faults (chaos.ActStuck, chaos.ActLag)
-// freeze or slow the mechanism; the command is still recorded, which is
-// how the supervisor detects a stuck damper.
+// open + fan. An injected stuck fault (chaos.ActuatorSpec) freezes the
+// mechanism; the command is still recorded, which is how the supervisor
+// detects a stuck damper.
 type Damper struct {
 	slew   float64
 	actual float64
@@ -33,18 +29,14 @@ func (d *Damper) Actual() float64 { return d.actual }
 // Reset moves the damper instantaneously (installation, manual override).
 func (d *Damper) Reset(pos float64) { d.actual = clamp01(pos) }
 
-// Step drives the damper toward cmd for one control tick under the given
-// fault and returns the new position. A stuck damper does not move at all;
-// a lagging damper moves at half slew.
-func (d *Damper) Step(cmd float64, fault chaos.ActuatorFault) float64 {
+// Step drives the damper toward cmd for one control tick and returns the
+// new position. A stuck damper does not move at all.
+func (d *Damper) Step(cmd float64, stuck bool) float64 {
 	cmd = clamp01(cmd)
-	if fault.Kind == chaos.ActStuck {
+	if stuck {
 		return d.actual
 	}
 	s := d.slew
-	if fault.Kind == chaos.ActLag {
-		s /= 2
-	}
 	delta := cmd - d.actual
 	switch {
 	case delta > s:

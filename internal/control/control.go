@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"time"
 
-	"frostlab/internal/chaos"
 	"frostlab/internal/units"
 )
 
@@ -183,8 +182,8 @@ type Inputs struct {
 	// Surface is the coldest powered surface exposed to intake air (case
 	// air of the coolest host), which the condensation guard defends.
 	Surface units.Celsius
-	// Fault is this tick's injected actuator fault (zero when healthy).
-	Fault chaos.ActuatorFault
+	// Stuck reports an injected stuck-damper fault for this tick.
+	Stuck bool
 }
 
 // Output is what the controller decided for one tick.
@@ -359,7 +358,7 @@ func (c *Controller) Step(in Inputs) Output {
 
 	out.Command = clamp01(u)
 	prev := c.damper.Actual()
-	out.Damper = c.damper.Step(out.Command, in.Fault)
+	out.Damper = c.damper.Step(out.Command, in.Stuck)
 	c.watchActuator(out.Command, out.Damper, prev, e)
 
 	out.Duty = c.duty.Step(c.wantDuty(in, out.Damper))

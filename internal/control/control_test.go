@@ -1,11 +1,9 @@
 package control
 
 import (
-	"math"
 	"testing"
 	"time"
 
-	"frostlab/internal/chaos"
 	"frostlab/internal/units"
 )
 
@@ -62,19 +60,15 @@ func TestDamperSlewAndFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := d.Step(1, chaos.ActuatorFault{}); got != 0.1 {
+	got := d.Step(1, false)
+	if got != 0.1 {
 		t.Fatalf("first step %v, want slew-limited 0.1", got)
 	}
-	got := d.Step(1, chaos.ActuatorFault{Kind: chaos.ActLag})
-	if math.Abs(got-0.15) > 1e-12 {
-		t.Fatalf("lagged step %v, want half slew", got)
-	}
-	if after := d.Step(1, chaos.ActuatorFault{Kind: chaos.ActStuck}); after != got {
+	if after := d.Step(1, true); after != got {
 		t.Fatalf("stuck step moved %v -> %v", got, after)
 	}
-	d.Reset(0.15)
 	d.Reset(0.96)
-	if got := d.Step(1, chaos.ActuatorFault{}); got != 1 {
+	if got := d.Step(1, false); got != 1 {
 		t.Fatalf("within-slew step %v, want exact landing on 1", got)
 	}
 }
@@ -175,11 +169,10 @@ func TestControllerStuckDamperFallsBackToLadder(t *testing.T) {
 	c := mustController(t, cfg)
 
 	// Warm tent wants the damper open, but it is stuck shut.
-	stuck := chaos.ActuatorFault{Kind: chaos.ActStuck}
 	var out Output
 	for i := 0; i < cfg.StuckWindow+2; i++ {
 		snap := in(i, 20)
-		snap.Fault = stuck
+		snap.Stuck = true
 		out = c.Step(snap)
 	}
 	if !out.Fallback {

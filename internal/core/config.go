@@ -99,9 +99,8 @@ type Config struct {
 	// envelope/dew-point supervisor. Nil reproduces the paper's open-loop
 	// run byte for byte.
 	Control *control.Config
-	// ActuatorChaos injects damper faults (stuck, lagging) into the
-	// control plane; ignored when Control is nil. An empty Seed derives
-	// one from the experiment seed.
+	// ActuatorChaos scripts stuck-damper windows into the control plane;
+	// ignored when Control is nil.
 	ActuatorChaos *chaos.ActuatorSpec
 	// Rules enables sim-time alert evaluation: collected samples feed a
 	// SampleDB-backed tsdb and the rules engine runs once per monitoring

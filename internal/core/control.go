@@ -35,7 +35,7 @@ const (
 // ctlState is the experiment's closed-loop plumbing, nil unless enabled.
 type ctlState struct {
 	ctl   *control.Controller
-	inj   *chaos.ActuatorInjector
+	act   chaos.ActuatorSpec // scripted damper faults; zero when healthy
 	trace *control.Trace
 
 	tick         int
@@ -72,8 +72,8 @@ func (c Config) dutyFraction(l control.DutyLevel, h *hardware.Host) float64 {
 	}
 }
 
-// setupControl builds the controller, the optional actuator fault
-// injector, and each host's per-duty-level thermal profiles and power
+// setupControl builds the controller, checks the optional actuator fault
+// script, and each host's per-duty-level thermal profiles and power
 // draws (precomputed so a duty transition is a few pointer-free copies,
 // never an allocation).
 func (e *Experiment) setupControl() error {
@@ -88,15 +88,10 @@ func (e *Experiment) setupControl() error {
 	st := &ctlState{ctl: ctl}
 	st.trace = ctl.EnableTrace(int(e.cfg.End.Sub(e.cfg.Start)/cc.Every) + 2)
 	if e.cfg.ActuatorChaos != nil {
-		spec := *e.cfg.ActuatorChaos
-		if spec.Seed == "" {
-			spec.Seed = e.cfg.Seed + "/act"
-		}
-		st.inj, err = chaos.NewActuator(spec)
-		if err != nil {
+		if err := e.cfg.ActuatorChaos.Validate(); err != nil {
 			return err
 		}
-		st.inj.Register(damperActuator)
+		st.act = *e.cfg.ActuatorChaos
 	}
 	for _, hs := range e.hosts {
 		for l := 0; l < control.NumDutyLevels; l++ {
@@ -143,10 +138,6 @@ func (e *Experiment) ladderFallback() func(time.Time) float64 {
 func (e *Experiment) controlTick(now time.Time) {
 	st := e.ctl
 	st.tick++
-	var fault chaos.ActuatorFault
-	if st.inj != nil {
-		fault = st.inj.FaultFor(damperActuator, st.tick)
-	}
 	inT, inRH := e.tent.Air()
 	out := e.wx.At(now)
 	res := st.ctl.Step(control.Inputs{
@@ -155,7 +146,7 @@ func (e *Experiment) controlTick(now time.Time) {
 		InsideRH: inRH,
 		Outside:  out.Temp,
 		Surface:  e.coldestSurface(inT),
-		Fault:    fault,
+		Stuck:    st.act.StuckAt(damperActuator, st.tick),
 	})
 	e.tent.SetVentilation(res.Damper)
 	if res.Duty != st.level {

@@ -38,10 +38,10 @@ type PrototypeResults struct {
 
 // PrototypeConfig parameterises RunPrototype.
 type PrototypeConfig struct {
+	// Seed roots the run's random streams and its weather,
+	// ReferenceWinter0910(Seed).
 	Seed       string
 	Start, End time.Time
-	// Weather defaults to ReferenceWinter0910(Seed).
-	Weather weather.Model
 	// DutyCycle is the load fraction.
 	DutyCycle float64
 	// SampleEvery is the sensing cadence.
@@ -74,10 +74,7 @@ func RunPrototype(cfg PrototypeConfig) (*PrototypeResults, error) {
 		return nil, fmt.Errorf("core: duty cycle %v out of [0,1]", cfg.DutyCycle)
 	}
 	rng := simkernel.NewRNG(cfg.Seed + "/prototype")
-	wx := cfg.Weather
-	if wx == nil {
-		wx = weather.ReferenceWinter0910(cfg.Seed)
-	}
+	wx := weather.ReferenceWinter0910(cfg.Seed)
 	host := hardware.ReferencePrototype()
 	boxes := thermal.NewPrototypeBoxes()
 	chip := sensors.NewChip(sensors.DefaultChipConfig(), rng, host.ID, 0)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"frostlab/internal/econ"
-	"frostlab/internal/telemetry"
 	"frostlab/internal/weather"
 )
 
@@ -51,13 +50,11 @@ func TestMultiSiteDeterminism(t *testing.T) {
 // TestMultiSiteWarmTickAllocFree: after the first tick (cold caches, trace
 // arrays already preallocated), Step must not allocate.
 func TestMultiSiteWarmTickAllocFree(t *testing.T) {
-	cfg := shortMultiSiteConfig("follow-cold")
-	cfg.Telemetry = telemetry.NewRegistry()
-	e, err := NewMultiSite(cfg)
+	e, err := NewMultiSite(shortMultiSiteConfig("follow-cold"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ { // warm up: prime policy, memos, gauges
+	for i := 0; i < 8; i++ { // warm up: prime policy and memos
 		if !e.Step() {
 			t.Fatal("horizon too short for warmup")
 		}
@@ -134,38 +131,6 @@ func TestFollowColdBeatsStatic(t *testing.T) {
 	}
 }
 
-// TestMultiSiteTelemetry: the frostlab_site_* / frostlab_econ_* gauges
-// render with per-site labels after a run.
-func TestMultiSiteTelemetry(t *testing.T) {
-	cfg := shortMultiSiteConfig("follow-cold")
-	cfg.Telemetry = telemetry.NewRegistry()
-	e, err := NewMultiSite(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := cfg.Telemetry.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	for _, want := range []string{
-		`frostlab_site_intake_celsius{site="helsinki"}`,
-		`frostlab_site_damper_position{site="desert"}`,
-		`frostlab_site_assigned_cycles{site="tropical"}`,
-		`frostlab_site_safe{site="desert"}`,
-		`frostlab_econ_price{site="helsinki"}`,
-		`frostlab_econ_carbon_intensity{site="tropical"}`,
-		`frostlab_econ_cost_usd_total{site="desert"}`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("telemetry missing %s", want)
-		}
-	}
-}
-
 // TestMultiSiteSerialization: the canonical JSON round-trips through the
 // digest stably, and the writer emits the schema fields.
 func TestMultiSiteSerialization(t *testing.T) {
@@ -213,8 +178,6 @@ func TestMultiSiteConfigValidate(t *testing.T) {
 		func(c *MultiSiteConfig) { c.Sites[0].Climate = "atlantis" },
 		func(c *MultiSiteConfig) { c.Sites[0].Tariff = "barter" },
 		func(c *MultiSiteConfig) { c.Policy = "chase-the-sun" },
-		func(c *MultiSiteConfig) { c.DemandPerHost = -1 },
-		func(c *MultiSiteConfig) { c.CapacityFactor = 2 },
 	}
 	for i, m := range mut {
 		cfg := DefaultMultiSiteConfig("v")

@@ -64,12 +64,10 @@ type Server struct {
 	// The engine is internally locked, so serving while it evaluates is
 	// safe.
 	rules *rules.Engine
-	// sites, when set, serves a multi-site fleet snapshot on /api/sites
-	// (WithSites).
-	sites func() SiteFleet
 }
 
 // NewServer returns a dashboard over the collector for the given roster.
+// coll must be non-nil.
 func NewServer(coll *monitor.Collector, hosts []string, start time.Time) *Server {
 	sorted := append([]string(nil), hosts...)
 	sort.Strings(sorted)
@@ -156,7 +154,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/ledger/{host}", s.handleLedger)
 	mux.HandleFunc("GET /api/series", s.handleSeries)
 	mux.HandleFunc("GET /api/series/{host}/{metric}", s.handleSeriesWindow)
-	mux.HandleFunc("GET /api/sites", s.handleSites)
 	mux.HandleFunc("GET /api/alerts", s.handleAlerts)
 	mux.HandleFunc("GET /api/rules", s.handleRules)
 	mux.HandleFunc("GET /api/incidents", s.handleIncidents)
@@ -182,12 +179,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "frostlab monitoring host — up since %s\n\n", s.start.Format(time.RFC3339))
-	if s.coll == nil {
-		// A sites-only deployment (the econ study's dashboard) has no
-		// collection plane; the overview still answers.
-		fmt.Fprintln(w, "no collection plane attached")
-		return
-	}
 	hist := s.coll.History()
 	fmt.Fprintf(w, "collection rounds: %d\n", len(hist))
 	var literal, total int
@@ -222,10 +213,6 @@ func (s *Server) handleHosts(w http.ResponseWriter, r *http.Request) {
 		ID    string   `json:"id"`
 		Files []string `json:"files"`
 	}
-	if s.coll == nil {
-		writeJSONError(w, http.StatusNotFound, "no collection plane attached to this dashboard")
-		return
-	}
 	out := make([]hostInfo, 0, len(s.hosts))
 	for _, id := range s.hosts {
 		out = append(out, hostInfo{ID: id, Files: s.coll.Mirror(id).Names()})
@@ -234,10 +221,6 @@ func (s *Server) handleHosts(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRounds(w http.ResponseWriter, r *http.Request) {
-	if s.coll == nil {
-		writeJSONError(w, http.StatusNotFound, "no collection plane attached to this dashboard")
-		return
-	}
 	writeJSON(w, s.coll.History())
 }
 
@@ -257,10 +240,6 @@ func (s *Server) handleGaps(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLedger(w http.ResponseWriter, r *http.Request) {
-	if s.coll == nil {
-		writeJSONError(w, http.StatusNotFound, "no collection plane attached to this dashboard")
-		return
-	}
 	host := r.PathValue("host")
 	if !s.knownHost(host) {
 		writeJSONError(w, http.StatusNotFound, "unknown host "+host)
@@ -289,10 +268,6 @@ type SeriesWindow struct {
 }
 
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	if s.coll == nil {
-		writeJSONError(w, http.StatusNotFound, "no sample plane attached to this collector")
-		return
-	}
 	db := s.coll.Samples()
 	if db == nil {
 		writeJSONError(w, http.StatusNotFound, "no sample plane attached to this collector")
@@ -322,10 +297,6 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSeriesWindow(w http.ResponseWriter, r *http.Request) {
-	if s.coll == nil {
-		writeJSONError(w, http.StatusNotFound, "no sample plane attached to this collector")
-		return
-	}
 	db := s.coll.Samples()
 	if db == nil {
 		writeJSONError(w, http.StatusNotFound, "no sample plane attached to this collector")
@@ -439,10 +410,6 @@ func (s *Server) handleIncidents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
-	if s.coll == nil {
-		http.Error(w, "no collection plane", http.StatusNotFound)
-		return
-	}
 	host := r.PathValue("host")
 	file := r.PathValue("file")
 	if !s.knownHost(host) {

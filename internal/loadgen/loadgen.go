@@ -17,6 +17,23 @@ import (
 	"frostlab/internal/telemetry"
 )
 
+// Fixed shape of every load run.
+const (
+	// spikeMultiplier scales SustainRate during the spike: the "5× rated
+	// load" the degradation tests demand.
+	spikeMultiplier = 5
+	// roundConcurrency caps parallel host collections per round.
+	roundConcurrency = 32
+	// retryAfter is the dashboard's advisory backoff on 503s.
+	retryAfter = time.Second
+	// cacheTTL bounds scrape-cache staleness; rounds also invalidate the
+	// cache explicitly when they publish.
+	cacheTTL = time.Second
+	// mirrorRetain caps each mirrored file's raw bytes so fleet memory
+	// stays bounded over long runs.
+	mirrorRetain = 64 << 10
+)
+
 // Config shapes one load run. Zero values take the defaults noted on
 // each field; Seed is the only field without a usable zero value.
 type Config struct {
@@ -30,30 +47,21 @@ type Config struct {
 	// Scrapers is the concurrent HTTP client fleet size (default 16).
 	Scrapers int
 	// SustainRate is the offered load in requests/second during the
-	// sustain phase (default 400). Warmup runs at a quarter of it.
+	// sustain phase (default 400). Warmup runs at a quarter of it, the
+	// spike at spikeMultiplier times it.
 	SustainRate float64
-	// SpikeMultiplier scales SustainRate during the spike (default 5 —
-	// the "5× rated load" the degradation tests demand).
-	SpikeMultiplier float64
 
 	// Phase durations (defaults 500ms, 500ms, 3s, 1s — the E15 profile).
 	Warmup, Ramp, Sustain, Spike time.Duration
 
 	// RoundEvery is the collection-round cadence during the run
-	// (default 250ms); RoundConcurrency caps parallel host collections
-	// (default 32).
-	RoundEvery       time.Duration
-	RoundConcurrency int
+	// (default 250ms).
+	RoundEvery time.Duration
 
 	// QueueCapacity bounds the post-round ingestion queue (default 4).
 	QueueCapacity int
-	// MaxInflight is the dashboard admission watermark (default 64);
-	// RetryAfter is the advisory backoff on 503s (default 1s).
+	// MaxInflight is the dashboard admission watermark (default 64).
 	MaxInflight int
-	RetryAfter  time.Duration
-	// CacheTTL bounds scrape-cache staleness (default 1s; rounds also
-	// invalidate it explicitly when they publish).
-	CacheTTL time.Duration
 
 	// PendingBuffer is the arrival feed depth between the open-loop
 	// generator and the scraper fleet (default 4 × Scrapers). Arrivals
@@ -63,10 +71,6 @@ type Config struct {
 	// PStaleConn is the per-(host, round) probability that a pooled
 	// keepalive went stale while parked (default 0 = no chaos).
 	PStaleConn float64
-
-	// MirrorRetain caps each mirrored file's raw bytes (default 64KiB)
-	// so fleet memory stays bounded over long runs.
-	MirrorRetain int
 }
 
 // withDefaults fills zero fields.
@@ -79,9 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SustainRate <= 0 {
 		c.SustainRate = 400
-	}
-	if c.SpikeMultiplier <= 0 {
-		c.SpikeMultiplier = 5
 	}
 	if c.Warmup <= 0 {
 		c.Warmup = 500 * time.Millisecond
@@ -98,26 +99,14 @@ func (c Config) withDefaults() Config {
 	if c.RoundEvery <= 0 {
 		c.RoundEvery = 250 * time.Millisecond
 	}
-	if c.RoundConcurrency <= 0 {
-		c.RoundConcurrency = 32
-	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 4
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 64
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.CacheTTL <= 0 {
-		c.CacheTTL = time.Second
-	}
 	if c.PendingBuffer <= 0 {
 		c.PendingBuffer = 4 * c.Scrapers
-	}
-	if c.MirrorRetain <= 0 {
-		c.MirrorRetain = 64 << 10
 	}
 	return c
 }
@@ -170,7 +159,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	samples := monitor.NewSampleDB()
 	coll := monitor.NewCollector(0).WithSamples(samples)
-	coll.SetRetention(cfg.MirrorRetain)
+	coll.SetRetention(mirrorRetain)
 	fc, err := monitor.NewFleetCollector(coll, monitor.FleetConfig{
 		Hosts:        hosts,
 		Dial:         monitor.InProcessDialer(agents, keys, cfg.Seed),
@@ -181,7 +170,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		PhaseTimeout: 2 * time.Second,
 		RoundTimeout: 30 * time.Second,
 		Jitter:       monitor.DeterministicJitter(cfg.Seed),
-		Concurrency:  cfg.RoundConcurrency,
+		Concurrency:  roundConcurrency,
 		Pool:         &monitor.PoolConfig{Fault: poolFault},
 	})
 	if err != nil {
@@ -195,8 +184,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	srv := dash.NewServer(coll, hosts, t0).
 		WithLedger(fc.Ledger()).
-		WithAdmission(cfg.MaxInflight, cfg.RetryAfter).
-		WithScrapeCache(cfg.CacheTTL).
+		WithAdmission(cfg.MaxInflight, retryAfter).
+		WithScrapeCache(cacheTTL).
 		WithTelemetry(reg)
 	handler := srv.Handler()
 
@@ -356,7 +345,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Agents:      cfg.Agents,
 		Scrapers:    cfg.Scrapers,
 		SustainRate: cfg.SustainRate,
-		SpikeRate:   cfg.SustainRate * cfg.SpikeMultiplier,
+		SpikeRate:   cfg.SustainRate * spikeMultiplier,
 		TotalMs:     ms(total),
 		MirrorBytes: int(coll.MirrorBytes()),
 		Healthz:     HealthzReport{Probes: probes.Load(), Failures: probeFailures.Load()},

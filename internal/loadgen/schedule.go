@@ -77,7 +77,7 @@ func (c Config) Schedule() []Arrival {
 	if warmupRate < 1 {
 		warmupRate = 1
 	}
-	spikeRate := c.SustainRate * c.SpikeMultiplier
+	spikeRate := c.SustainRate * spikeMultiplier
 
 	bounds := [NumPhases]time.Duration{c.Warmup, c.Ramp, c.Sustain, c.Spike}
 	var out []Arrival

@@ -11,35 +11,20 @@ import (
 	"frostlab/internal/units"
 )
 
-// DualTrackConfig shapes a dual-track control plot: a value track on top
-// (setpoint vs process variable), a normalized 0..1 band track below it
-// (the damper position), both on a shared time axis, with guard-trip
-// instants marked beneath.
-type DualTrackConfig struct {
-	// Width is the shared column count; Height the value track's rows;
-	// BandHeight the 0..1 track's rows.
-	Width, Height, BandHeight int
-	// YLabel names the value track's unit, BandLabel the band track.
-	YLabel, BandLabel string
-	// Trips are marked with '!' under the time axis.
-	Trips []time.Time
-}
-
-// DefaultDualTrackConfig is 100 columns with a 14-row value track and a
-// 5-row band track.
-func DefaultDualTrackConfig() DualTrackConfig {
-	return DualTrackConfig{Width: 100, Height: 14, BandHeight: 5, YLabel: "°C", BandLabel: "open"}
-}
+// Dual-track control plot geometry: a 100-column shared time axis, a
+// 14-row value track (°C) and a 5-row 0..1 band track (damper opening).
+const (
+	dualWidth      = 100
+	dualHeight     = 14
+	dualBandHeight = 5
+)
 
 // DualTrack renders the control loop's trajectory: the setpoint ('-') and
 // the process variable ('*') share the value track, the band series (the
 // damper, clamped to [0,1]) fills the lower track with '#' columns, and
 // guard trips print as '!' markers between the two. Rendering is pure
 // string assembly, so the same figure works in a terminal or a doc.
-func DualTrack(cfg DualTrackConfig, setpoint, pv, band *timeseries.Series) (string, error) {
-	if cfg.Width < 20 || cfg.Height < 5 || cfg.BandHeight < 2 {
-		return "", fmt.Errorf("report: dual-track too small (%dx%d+%d)", cfg.Width, cfg.Height, cfg.BandHeight)
-	}
+func DualTrack(trips []time.Time, setpoint, pv, band *timeseries.Series) (string, error) {
 	if setpoint == nil || pv == nil || band == nil {
 		return "", fmt.Errorf("report: dual-track needs setpoint, pv and band series")
 	}
@@ -69,12 +54,12 @@ func DualTrack(cfg DualTrackConfig, setpoint, pv, band *timeseries.Series) (stri
 		span = time.Second
 	}
 	col := func(at time.Time) int {
-		c := int(float64(at.Sub(tMin)) / float64(span) * float64(cfg.Width-1))
+		c := int(float64(at.Sub(tMin)) / float64(span) * float64(dualWidth-1))
 		if c < 0 {
 			c = 0
 		}
-		if c >= cfg.Width {
-			c = cfg.Width - 1
+		if c >= dualWidth {
+			c = dualWidth - 1
 		}
 		return c
 	}
@@ -91,19 +76,19 @@ func DualTrack(cfg DualTrackConfig, setpoint, pv, band *timeseries.Series) (stri
 		vMax = vMin + 1
 	}
 	row := func(v float64) int {
-		r := int((vMax - v) / (vMax - vMin) * float64(cfg.Height-1))
+		r := int((vMax - v) / (vMax - vMin) * float64(dualHeight-1))
 		if r < 0 {
 			r = 0
 		}
-		if r >= cfg.Height {
-			r = cfg.Height - 1
+		if r >= dualHeight {
+			r = dualHeight - 1
 		}
 		return r
 	}
 
-	grid := make([][]rune, cfg.Height)
+	grid := make([][]rune, dualHeight)
 	for i := range grid {
-		grid[i] = []rune(strings.Repeat(" ", cfg.Width))
+		grid[i] = []rune(strings.Repeat(" ", dualWidth))
 	}
 	for _, p := range setpoint.Points() {
 		grid[row(p.Value)][col(p.At)] = '-'
@@ -118,9 +103,9 @@ func DualTrack(cfg DualTrackConfig, setpoint, pv, band *timeseries.Series) (stri
 		switch i {
 		case 0:
 			b.WriteString(label(vMax))
-		case cfg.Height / 2:
+		case dualHeight / 2:
 			b.WriteString(label((vMax + vMin) / 2))
-		case cfg.Height - 1:
+		case dualHeight - 1:
 			b.WriteString(label(vMin))
 		default:
 			b.WriteString(strings.Repeat(" ", 7))
@@ -129,25 +114,25 @@ func DualTrack(cfg DualTrackConfig, setpoint, pv, band *timeseries.Series) (stri
 		b.WriteString(string(line))
 		b.WriteByte('\n')
 	}
-	b.WriteString(strings.Repeat(" ", 7) + " +" + strings.Repeat("-", cfg.Width) + "\n")
+	b.WriteString(strings.Repeat(" ", 7) + " +" + strings.Repeat("-", dualWidth) + "\n")
 
 	// Guard-trip marker line between the tracks.
-	trips := []rune(strings.Repeat(" ", cfg.Width))
+	marks := []rune(strings.Repeat(" ", dualWidth))
 	tripped := false
-	for _, at := range cfg.Trips {
+	for _, at := range trips {
 		if at.Before(tMin) || at.After(tMax) {
 			continue
 		}
-		trips[col(at)] = '!'
+		marks[col(at)] = '!'
 		tripped = true
 	}
 	if tripped {
-		b.WriteString(strings.Repeat(" ", 9) + string(trips) + "  guard trips (!)\n")
+		b.WriteString(strings.Repeat(" ", 9) + string(marks) + "  guard trips (!)\n")
 	}
 
 	// Band track: each column shows the latest band value at or before it
 	// as a filled bar, clamped to [0,1].
-	level := make([]float64, cfg.Width)
+	level := make([]float64, dualWidth)
 	for i := range level {
 		level[i] = math.NaN()
 	}
@@ -170,9 +155,9 @@ func DualTrack(cfg DualTrackConfig, setpoint, pv, band *timeseries.Series) (stri
 			last = level[i]
 		}
 	}
-	for r := 0; r < cfg.BandHeight; r++ {
-		threshold := 1 - (float64(r)+0.5)/float64(cfg.BandHeight)
-		line := []rune(strings.Repeat(" ", cfg.Width))
+	for r := 0; r < dualBandHeight; r++ {
+		threshold := 1 - (float64(r)+0.5)/float64(dualBandHeight)
+		line := []rune(strings.Repeat(" ", dualWidth))
 		for c, v := range level {
 			if !math.IsNaN(v) && v >= threshold {
 				line[c] = '#'
@@ -181,7 +166,7 @@ func DualTrack(cfg DualTrackConfig, setpoint, pv, band *timeseries.Series) (stri
 		switch r {
 		case 0:
 			b.WriteString(fmt.Sprintf("%7s", "1.0"))
-		case cfg.BandHeight - 1:
+		case dualBandHeight - 1:
 			b.WriteString(fmt.Sprintf("%7s", "0.0"))
 		default:
 			b.WriteString(strings.Repeat(" ", 7))
@@ -190,17 +175,14 @@ func DualTrack(cfg DualTrackConfig, setpoint, pv, band *timeseries.Series) (stri
 		b.WriteString(string(line))
 		b.WriteByte('\n')
 	}
-	b.WriteString(strings.Repeat(" ", 7) + " +" + strings.Repeat("-", cfg.Width) + "\n")
+	b.WriteString(strings.Repeat(" ", 7) + " +" + strings.Repeat("-", dualWidth) + "\n")
 
 	// Time axis labels: start and end.
 	const stamp = "Jan 02 15:04"
-	axis := fmt.Sprintf("%-*s%s", cfg.Width-len(stamp)+2, tMin.Format(stamp), tMax.Format(stamp))
+	axis := fmt.Sprintf("%-*s%s", dualWidth-len(stamp)+2, tMin.Format(stamp), tMax.Format(stamp))
 	b.WriteString(strings.Repeat(" ", 9) + axis + "\n")
 	b.WriteString(fmt.Sprintf("  - %s   * %s   # %s", setpoint.Name(), pv.Name(), band.Name()))
-	if cfg.YLabel != "" {
-		b.WriteString("   [" + cfg.YLabel + " / " + cfg.BandLabel + "]")
-	}
-	b.WriteByte('\n')
+	b.WriteString("   [°C / open]\n")
 	return b.String(), nil
 }
 
@@ -225,9 +207,7 @@ func FigControl(r *core.Results) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	cfg := DefaultDualTrackConfig()
-	cfg.Trips = cr.GuardTrips
-	plot, err := DualTrack(cfg, sp, pv, damper)
+	plot, err := DualTrack(cr.GuardTrips, sp, pv, damper)
 	if err != nil {
 		return "", err
 	}

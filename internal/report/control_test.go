@@ -34,9 +34,7 @@ func TestDualTrack(t *testing.T) {
 		pv[i] = 6 + float64(i%12)
 		dm[i] = float64(i) / float64(n-1)
 	}
-	cfg := report.DefaultDualTrackConfig()
-	cfg.Trips = []time.Time{start.Add(6 * time.Hour)}
-	out, err := report.DualTrack(cfg,
+	out, err := report.DualTrack([]time.Time{start.Add(6 * time.Hour)},
 		mkSeries(t, "setpoint", start, time.Hour, sp),
 		mkSeries(t, "pv", start, time.Hour, pv),
 		mkSeries(t, "damper", start, time.Hour, dm))
@@ -62,11 +60,11 @@ func TestDualTrack(t *testing.T) {
 		t.Errorf("band track not monotone in fill: %v", counts)
 	}
 
-	if _, err := report.DualTrack(report.DualTrackConfig{Width: 5, Height: 2, BandHeight: 1}, nil, nil, nil); err == nil {
-		t.Error("tiny dual-track accepted")
+	if _, err := report.DualTrack(nil, nil, nil, nil); err == nil {
+		t.Error("dual-track without series accepted")
 	}
 	empty := timeseries.New("empty", "x")
-	if _, err := report.DualTrack(report.DefaultDualTrackConfig(), empty, empty, empty); err == nil {
+	if _, err := report.DualTrack(nil, empty, empty, empty); err == nil {
 		t.Error("empty pv accepted")
 	}
 }

@@ -139,7 +139,7 @@ func FigEconSite(r *core.FleetResult, site string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	fig, err := DualTrack(DefaultDualTrackConfig(), ceiling, intake, damper)
+	fig, err := DualTrack(nil, ceiling, intake, damper)
 	if err != nil {
 		return "", err
 	}

@@ -12,11 +12,6 @@ func econSummary(t *testing.T) *campaign.EconSummary {
 	spec := campaign.DefaultEconSpec("report-econ")
 	spec.Days = 4
 	spec.HostsPerSite = 6
-	spec.Sets = []campaign.SiteSet{
-		{Name: "continental", Climates: []string{"helsinki", "desert", "tropical"}},
-	}
-	spec.Tariffs = []string{"paired"}
-	spec.Policies = []string{"static", "follow-cold"}
 	sum, err := campaign.RunEcon(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -207,6 +207,33 @@ func TestUnknownLiveGaugeStaysInactive(t *testing.T) {
 	}
 }
 
+// TestDefaultLiveRulesInactiveWithoutGauges: every default rule that
+// reads a $live gauge stays inactive in an embedding that registers none
+// of them, however long it evaluates.
+func TestDefaultLiveRulesInactiveWithoutGauges(t *testing.T) {
+	set := Default()
+	live := map[string]bool{}
+	for _, r := range set.Rules {
+		for _, a := range r.Args {
+			if a.Live {
+				live[r.Name] = true
+			}
+		}
+	}
+	if len(live) == 0 {
+		t.Fatal("default ruleset reads no live gauges")
+	}
+	eng := NewEngine(set, tsdb.NewStore(0))
+	for i := 0; i < 6; i++ {
+		eng.Eval(tick(i))
+	}
+	for _, a := range eng.ActiveAlerts() {
+		if live[a.Rule] {
+			t.Errorf("rule %s active without its gauge: %+v", a.Rule, a)
+		}
+	}
+}
+
 func TestRestoreFromCheckpoint(t *testing.T) {
 	store := tsdb.NewStore(0)
 	var v float64 = 1

@@ -58,22 +58,22 @@ func TestParseDefaultsEnvelopeToFrost(t *testing.T) {
 
 func TestParseRejects(t *testing.T) {
 	for _, src := range []string{
-		"frob x value($v) > 1",                   // unknown directive
-		"alert x frobnicate($v) > 1",             // unknown function
-		"alert x value($v)",                      // numeric alert without cmp
-		"alert x absent(a/cpu,10m) > 1",          // boolean with cmp
-		"record x value($v) > 1",                 // record with cmp
-		"record x value($v) for 10m",             // record with for
-		"alert x value($v) > notanumber",         // bad threshold
-		"alert x value($v) > 1 for soon",         // bad duration
-		"alert x rate(a/cpu) > 1",                // missing window
-		"alert x value(a*,10m) > 1",              // bad wildcard form
-		"alert x value(*/a,*/b) > 1",             // wrong arity
-		"alert bad!name value($v) > 1",           // bad rule name
-		"alert x value($v) > 1 unexpected",       // trailing tokens
+		"frob x value($v) > 1",                         // unknown directive
+		"alert x frobnicate($v) > 1",                   // unknown function
+		"alert x value($v)",                            // numeric alert without cmp
+		"alert x absent(a/cpu,10m) > 1",                // boolean with cmp
+		"record x value($v) > 1",                       // record with cmp
+		"record x value($v) for 10m",                   // record with for
+		"alert x value($v) > notanumber",               // bad threshold
+		"alert x value($v) > 1 for soon",               // bad duration
+		"alert x rate(a/cpu) > 1",                      // missing window
+		"alert x value(a*,10m) > 1",                    // bad wildcard form
+		"alert x value(*/a,*/b) > 1",                   // wrong arity
+		"alert bad!name value($v) > 1",                 // bad rule name
+		"alert x value($v) > 1 unexpected",             // trailing tokens
 		"alert x value($v) > 1\nalert x value($v) > 2", // duplicate name
-		"envelope low=30 high=2",                 // inverted envelope
-		"envelope frob=1",                        // unknown envelope key
+		"envelope low=30 high=2",                       // inverted envelope
+		"envelope frob=1",                              // unknown envelope key
 	} {
 		if _, err := Parse([]byte(src)); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", src)
@@ -91,8 +91,7 @@ func TestDefaultRuleSetParses(t *testing.T) {
 		names[r.Name] = true
 	}
 	for _, want := range []string{"sensor_stale", "coverage_drop", "ingest_shed",
-		"breaker_open", "envelope_violation", "dewpoint_margin_low",
-		"econ_price_high", "site_envelope_low"} {
+		"breaker_open", "envelope_violation", "dewpoint_margin_low"} {
 		if !names[want] {
 			t.Errorf("default ruleset missing %q", want)
 		}
