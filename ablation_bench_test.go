@@ -62,7 +62,7 @@ func BenchmarkAblationStartFuzz(b *testing.B) {
 			if withFuzz {
 				fuzz = workload.StartFuzz(rng, fmt.Sprintf("%02d", h))
 			}
-			if _, err := sched.Periodic(start, workload.CyclePeriod, fuzz, func(now time.Time) {
+			if err := sched.Periodic(start, workload.CyclePeriod, fuzz, func(now time.Time) {
 				starts[now.Truncate(time.Second)]++
 			}); err != nil {
 				b.Fatal(err)
@@ -108,7 +108,7 @@ func BenchmarkAblationOutlierCleaning(b *testing.B) {
 		if err := l.Install(sched, start); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sched.At(start.Add(24*time.Hour), func(now time.Time) {
+		if err := sched.At(start.Add(24*time.Hour), func(now time.Time) {
 			l.BeginReadout(now.Add(20 * time.Minute))
 		}); err != nil {
 			b.Fatal(err)
@@ -186,16 +186,19 @@ func BenchmarkAblationDeltaBlockSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out = ""
 		for _, bs := range []int{256, 1024, delta.DefaultBlockSize, 8192, 32768} {
-			_, literals, err := delta.Sync(old, new, bs)
-			if err != nil {
-				b.Fatal(err)
-			}
 			sig, err := delta.NewSignature(old, bs)
 			if err != nil {
 				b.Fatal(err)
 			}
+			d, err := delta.Compute(sig, new)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := delta.Apply(old, d); err != nil {
+				b.Fatal(err)
+			}
 			sigBytes := len(sig.Marshal())
-			out += fmt.Sprintf("  block %5d B: literals %4d B, signature %6d B\n", bs, literals, sigBytes)
+			out += fmt.Sprintf("  block %5d B: literals %4d B, signature %6d B\n", bs, d.LiteralBytes(), sigBytes)
 		}
 	}
 	logOnce(b, "abl-delta", "delta block-size ablation (256 KiB log + 47 B append):\n"+out)

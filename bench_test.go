@@ -118,7 +118,8 @@ func BenchmarkReferenceRunInstrumented(b *testing.B) {
 		}
 		reg := telemetry.NewRegistry()
 		exp.InstrumentTelemetry(reg)
-		exp.WithTracer(telemetry.NewTracer(telemetry.DefaultTraceCapacity))
+		tracer := telemetry.NewTracer(telemetry.DefaultTraceCapacity)
+		exp.WithTracer(tracer)
 		r, err := exp.Run()
 		if err != nil {
 			b.Fatal(err)
@@ -130,7 +131,7 @@ func BenchmarkReferenceRunInstrumented(b *testing.B) {
 		}
 		if i == 0 {
 			logOnce(b, "instrumented", firstLines(sb.String(), 4)+
-				fmt.Sprintf("\n… %d trace events recorded", exp.Tracer().Len()))
+				fmt.Sprintf("\n… %d trace events recorded", tracer.Len()))
 		}
 	}
 	reportPerHostHour(b, hosts, core.DefaultConfig(core.ReferenceSeed))
@@ -179,7 +180,8 @@ func BenchmarkControlledRunInstrumented(b *testing.B) {
 		}
 		reg := telemetry.NewRegistry()
 		exp.InstrumentTelemetry(reg)
-		exp.WithTracer(telemetry.NewTracer(telemetry.DefaultTraceCapacity))
+		tracer := telemetry.NewTracer(telemetry.DefaultTraceCapacity)
+		exp.WithTracer(tracer)
 		r, err := exp.Run()
 		if err != nil {
 			b.Fatal(err)

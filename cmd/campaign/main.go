@@ -150,20 +150,25 @@ func run(args []string) error {
 	fmt.Println("...")
 
 	summary, err := campaign.Run(ctx, spec)
-	if errors.Is(err, context.Canceled) {
+	interrupted := errors.Is(err, context.Canceled)
+	if err != nil && !interrupted {
+		return err
+	}
+	if interrupted {
 		fmt.Printf("\nInterrupted after %s: %d of %d runs completed",
 			time.Since(started).Round(time.Millisecond), summary.Completed, summary.TotalRuns)
-		if *checkpoint != "" {
+		if *checkpoint != "" && summary.CheckpointFailures == 0 {
 			fmt.Printf(" and checkpointed; re-run the same command to resume")
 		}
 		fmt.Println(".")
-		return nil
+	} else {
+		fmt.Printf("Campaign finished in %s.\n\n", time.Since(started).Round(time.Millisecond))
+		fmt.Println(report.Campaign(summary))
 	}
-	if err != nil {
-		return err
+	if summary.CheckpointFailures > 0 {
+		return fmt.Errorf("%d replicate checkpoint(s) not written, so a re-run repeats them; first: %s",
+			summary.CheckpointFailures, summary.CheckpointErr)
 	}
-	fmt.Printf("Campaign finished in %s.\n\n", time.Since(started).Round(time.Millisecond))
-	fmt.Println(report.Campaign(summary))
 	return nil
 }
 

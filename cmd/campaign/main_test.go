@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -27,5 +29,19 @@ func TestRunRejectsBadInput(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestRunReportsCheckpointFailure points -checkpoint below a regular file,
+// where no checkpoint can be written: the campaign still finishes, but run
+// must name the failure instead of exiting 0 as if the run could resume.
+func TestRunReportsCheckpointFailure(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "plain-file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-reps", "1", "-days", "1", "-workers", "1", "-checkpoint", filepath.Join(file, "ckpt")})
+	if err == nil || !strings.Contains(err.Error(), "1 replicate checkpoint(s) not written") {
+		t.Fatalf("run = %v, want an error naming the unwritten checkpoint", err)
 	}
 }

@@ -57,6 +57,7 @@ package main
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -75,7 +76,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "collectord:", err)
 		os.Exit(1)
 	}
@@ -87,29 +88,38 @@ func derivePSK(keyseed, hostID string) []byte {
 	return sum[:]
 }
 
-func run() error {
-	hostsFlag := flag.String("hosts", "", "comma-separated hostID=addr pairs")
-	keyseed := flag.String("keyseed", "winter0910", "pre-shared key derivation seed")
-	keyfile := flag.String("keystore", "", "keystore file of hostID hexkey lines (overrides -keyseed)")
-	every := flag.Duration("every", 20*time.Minute, "collection cadence")
-	rounds := flag.Int("rounds", 0, "stop after N rounds (0 = forever)")
-	dir := flag.String("dir", "", "write mirrored logs into this directory after each round")
-	httpAddr := flag.String("http", "", "serve the status dashboard on this address (e.g. 127.0.0.1:8080)")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-read/-write deadline on agent connections")
-	roundTimeout := flag.Duration("round-timeout", 5*time.Minute, "hard deadline for one whole round (0 = none)")
-	retries := flag.Int("retries", 3, "max collection attempts per host per round")
-	backoff := flag.Duration("backoff", 2*time.Second, "base retry backoff (doubles per attempt, ±25% jitter)")
-	breakerTrip := flag.Int("breaker-trip", 3, "consecutive failed rounds before a host's breaker opens (0 = disabled)")
-	breakerCooldown := flag.Int("breaker-cooldown", 3, "rounds an open breaker skips before a half-open probe")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz, /buildinfo and net/http/pprof on this address")
-	mirrorRetain := flag.Int("mirror-retain", 0, "cap each mirrored file at this many raw bytes, evicting oldest lines first (0 = unbounded)")
-	tsdbDir := flag.String("tsdb-dir", "", "checkpoint the compressed sample store into this directory after each round and restore it at startup")
-	pool := flag.Bool("pool", true, "keep authenticated agent sessions alive across rounds instead of redialling")
-	ingestQueue := flag.Int("ingest-queue", 4, "bound on pending post-round flush/checkpoint jobs; the oldest round is shed (and counted) when full")
-	maxInflight := flag.Int("max-inflight", 64, "dashboard admission watermark: concurrent requests past it get 503 + Retry-After")
-	scrapeCache := flag.Duration("scrape-cache", time.Second, "cache hot dashboard scrape responses for this long within a round (0 = off)")
-	rulesFlag := flag.String("rules", "default", `alert/recording ruleset: "default", "off", or a rule file path`)
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("collectord", flag.ContinueOnError)
+	hostsFlag := fs.String("hosts", "", "comma-separated hostID=addr pairs")
+	keyseed := fs.String("keyseed", "winter0910", "pre-shared key derivation seed")
+	keyfile := fs.String("keystore", "", "keystore file of hostID hexkey lines (overrides -keyseed)")
+	every := fs.Duration("every", 20*time.Minute, "collection cadence")
+	rounds := fs.Int("rounds", 0, "stop after N rounds (0 = forever)")
+	dir := fs.String("dir", "", "write mirrored logs into this directory after each round")
+	httpAddr := fs.String("http", "", "serve the status dashboard on this address (e.g. 127.0.0.1:8080)")
+	timeout := fs.Duration("timeout", 10*time.Second, "per-read/-write deadline on agent connections")
+	roundTimeout := fs.Duration("round-timeout", 5*time.Minute, "hard deadline for one whole round (0 = none)")
+	retries := fs.Int("retries", 3, "max collection attempts per host per round")
+	backoff := fs.Duration("backoff", 2*time.Second, "base retry backoff (doubles per attempt, ±25% jitter)")
+	breakerTrip := fs.Int("breaker-trip", 3, "consecutive failed rounds before a host's breaker opens (0 = disabled)")
+	breakerCooldown := fs.Int("breaker-cooldown", 3, "rounds an open breaker skips before a half-open probe")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /healthz, /buildinfo and net/http/pprof on this address")
+	mirrorRetain := fs.Int("mirror-retain", 0, "cap each mirrored file at this many raw bytes, evicting oldest lines first (0 = unbounded)")
+	tsdbDir := fs.String("tsdb-dir", "", "checkpoint the compressed sample store into this directory after each round and restore it at startup")
+	pool := fs.Bool("pool", true, "keep authenticated agent sessions alive across rounds instead of redialling")
+	ingestQueue := fs.Int("ingest-queue", 4, "bound on pending post-round flush/checkpoint jobs; the oldest round is shed (and counted) when full")
+	maxInflight := fs.Int("max-inflight", 64, "dashboard admission watermark: concurrent requests past it get 503 + Retry-After")
+	scrapeCache := fs.Duration("scrape-cache", time.Second, "cache hot dashboard scrape responses for this long within a round (0 = off)")
+	rulesFlag := fs.String("rules", "default", `alert/recording ruleset: "default", "off", or a rule file path`)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *every <= 0 {
+		return fmt.Errorf("-every must be positive, got %v", *every)
+	}
+	if *rounds < 0 {
+		return fmt.Errorf("-rounds must not be negative, got %d", *rounds)
+	}
 
 	if *hostsFlag == "" {
 		return fmt.Errorf("-hosts is required")

@@ -77,7 +77,7 @@ func newAgentMetrics(reg *telemetry.Registry) *agentMetrics {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "nodeagent:", err)
 		os.Exit(1)
 	}
@@ -94,17 +94,29 @@ func randNonce() ([]byte, error) {
 	return b, err
 }
 
-func run() error {
-	id := flag.String("id", "", "host identifier (e.g. 01)")
-	listen := flag.String("listen", "127.0.0.1:7701", "TCP listen address")
-	keyseed := flag.String("keyseed", "winter0910", "pre-shared key derivation seed")
-	keyfile := flag.String("keystore", "", "keystore file of hostID hexkey lines (overrides -keyseed)")
-	cycle := flag.Duration("cycle", 10*time.Minute, "workload cycle period (§3.5: 10 minutes)")
-	cycles := flag.Int("cycles", 0, "stop the workload after N cycles (0 = forever)")
-	drain := flag.Duration("drain", 30*time.Second, "max wait for in-flight collections on shutdown")
-	maxSessions := flag.Int("max-sessions", 64, "cap concurrent collection sessions; excess connections are closed immediately (0 = unbounded)")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz, /buildinfo and net/http/pprof on this address")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("nodeagent", flag.ContinueOnError)
+	id := fs.String("id", "", "host identifier (e.g. 01)")
+	listen := fs.String("listen", "127.0.0.1:7701", "TCP listen address")
+	keyseed := fs.String("keyseed", "winter0910", "pre-shared key derivation seed")
+	keyfile := fs.String("keystore", "", "keystore file of hostID hexkey lines (overrides -keyseed)")
+	cycle := fs.Duration("cycle", 10*time.Minute, "workload cycle period (§3.5: 10 minutes)")
+	cycles := fs.Int("cycles", 0, "stop the workload after N cycles (0 = forever)")
+	drain := fs.Duration("drain", 30*time.Second, "max wait for in-flight collections on shutdown")
+	maxSessions := fs.Int("max-sessions", 64, "cap concurrent collection sessions; excess connections are closed immediately (0 = unbounded)")
+	debugAddr := fs.String("debug-addr", "", "serve /metrics, /healthz, /buildinfo and net/http/pprof on this address")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *cycle <= 0 {
+		return fmt.Errorf("-cycle must be positive, got %v", *cycle)
+	}
+	if *cycles < 0 {
+		return fmt.Errorf("-cycles must not be negative, got %d", *cycles)
+	}
+	if *maxSessions < 0 {
+		return fmt.Errorf("-max-sessions must not be negative, got %d", *maxSessions)
+	}
 
 	if *id == "" {
 		return fmt.Errorf("-id is required")

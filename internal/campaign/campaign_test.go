@@ -122,6 +122,28 @@ func TestCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointWriteFailureCounted points the checkpoint directory below
+// a regular file: every replicate still pools its statistics, and every
+// unwritten checkpoint is counted on the Summary with the first error.
+func TestCheckpointWriteFailureCounted(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "plain-file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := fastSpec("unwritable", 2, 2)
+	spec.CheckpointDir = filepath.Join(file, "ckpt")
+	sum, err := campaign.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Completed != 2 || sum.Failed != 0 {
+		t.Fatalf("completed %d failed %d, want 2/0", sum.Completed, sum.Failed)
+	}
+	if sum.CheckpointFailures != 2 || !strings.Contains(sum.CheckpointErr, "plain-file") {
+		t.Fatalf("checkpoint failures %d (%q), want 2 naming the path", sum.CheckpointFailures, sum.CheckpointErr)
+	}
+}
+
 // TestPanicIsolation injects a panicking replicate and verifies the
 // campaign survives it: the run is reported failed, the rest pool.
 func TestPanicIsolation(t *testing.T) {
@@ -301,9 +323,14 @@ func TestBuildFleet(t *testing.T) {
 	if len(all) != 18 {
 		t.Fatalf("fleet size %d, want 18", len(all))
 	}
-	h, ok := f.Get("h01")
-	if !ok || h.TwinID != "ch01" {
-		t.Errorf("h01 twin %q, want ch01", h.TwinID)
+	twin := ""
+	for _, h := range all {
+		if h.ID == "h01" {
+			twin = h.TwinID
+		}
+	}
+	if twin != "ch01" {
+		t.Errorf("h01 twin %q, want ch01", twin)
 	}
 	if _, err := campaign.BuildFleet(0, at); err == nil {
 		t.Error("zero-pair fleet accepted")

@@ -37,31 +37,34 @@ func sanitizeLabel(label string) string {
 	return b.String()
 }
 
-// saveCheckpoint persists a finished replicate. Best-effort: campaigns
-// keep their statistics even when the checkpoint directory is unwritable.
-func (s *Spec) saveCheckpoint(pt point, rep int, r *core.Results) {
+// saveCheckpoint persists a finished replicate. On failure it removes any
+// temp file it wrote and returns the error; the caller keeps the
+// replicate's statistics either way.
+func (s *Spec) saveCheckpoint(pt point, rep int, r *core.Results) error {
 	if s.CheckpointDir == "" {
-		return
+		return nil
 	}
 	if err := os.MkdirAll(s.CheckpointDir, 0o755); err != nil {
-		return
+		return fmt.Errorf("campaign: writing checkpoint: %w", err)
 	}
 	path := s.checkpointPath(pt, rep)
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return
+		return fmt.Errorf("campaign: writing checkpoint: %w", err)
 	}
-	if err := core.SaveResults(f, r); err != nil {
-		f.Close()
+	err = core.SaveResults(f, r)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return
+		return fmt.Errorf("campaign: writing checkpoint %s: %w", path, err)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	_ = os.Rename(tmp, path)
+	return nil
 }
 
 // loadCheckpoint restores a replicate summary from a previous campaign,

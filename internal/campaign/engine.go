@@ -24,7 +24,8 @@ type job struct {
 // cancelled, in-flight simulations abort at their next event boundary and
 // Run returns the partial Summary together with ctx.Err(); completed
 // replicates are already checkpointed, so the next Run resumes where this
-// one stopped.
+// one stopped. Checkpoint writes that fail are counted on the Summary
+// (CheckpointFailures) and do not fail the run.
 func Run(ctx context.Context, spec Spec) (*Summary, error) {
 	if spec.Seed == "" {
 		return nil, fmt.Errorf("campaign: spec needs a seed")
@@ -152,7 +153,10 @@ func (s *Spec) runOne(ctx context.Context, j job) (rs RunSummary) {
 	sum.Point, sum.Rep, sum.Seed = rs.Point, rs.Rep, rs.Seed
 	// Persist before reporting: a checkpointed run is one the next
 	// campaign never re-pays for. A persistence failure only disables
-	// resume for this replicate; the statistics are unaffected.
-	s.saveCheckpoint(j.pt, j.rep, r)
+	// resume for this replicate; the statistics are unaffected, and the
+	// failure is counted on the Summary.
+	if err := s.saveCheckpoint(j.pt, j.rep, r); err != nil {
+		sum.CheckpointErr = err.Error()
+	}
 	return sum
 }

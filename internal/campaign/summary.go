@@ -38,6 +38,9 @@ type RunSummary struct {
 	// FromCheckpoint marks a replicate restored from the checkpoint
 	// directory instead of re-run.
 	FromCheckpoint bool
+	// CheckpointErr is non-empty when the replicate ran but its checkpoint
+	// could not be written, so a resumed campaign would run it again.
+	CheckpointErr string
 
 	Tent, Control, Initial stats.Rate
 	TotalCycles            uint64
@@ -209,7 +212,12 @@ type Summary struct {
 	Completed  int
 	Failed     int
 	Checkpoint int
-	Points     []*PointAggregate
+	// CheckpointFailures counts replicates whose checkpoint could not be
+	// written; CheckpointErr is the first such error in sweep and
+	// replicate order.
+	CheckpointFailures int
+	CheckpointErr      string
+	Points             []*PointAggregate
 }
 
 // powerLevels is the power-analysis table's grid.
@@ -377,6 +385,15 @@ func (s *Spec) buildSummary(pts []point, sums []RunSummary, total int) *Summary 
 	for _, pt := range pts {
 		group := byPoint[pt.label]
 		sort.Slice(group, func(i, j int) bool { return group[i].Rep < group[j].Rep })
+		for _, rs := range group {
+			if rs.CheckpointErr == "" {
+				continue
+			}
+			if out.CheckpointFailures == 0 {
+				out.CheckpointErr = rs.CheckpointErr
+			}
+			out.CheckpointFailures++
+		}
 		out.Points = append(out.Points, s.aggregate(pt.label, group))
 	}
 	return out

@@ -11,14 +11,12 @@
 // night saturation), built from seeded harmonic mixtures so that conditions
 // are a pure function of time: any site is climate.New(family, params,
 // epoch, seed) and byte-identically replayable at any GOMAXPROCS. The
-// existing Helsinki and CSV-trace paths remain first-class citizens:
-// "helsinki" is a family here, and ReadCSV imports a recorded trace through
-// the same weather.Model interface.
+// Helsinki model remains a first-class citizen: "helsinki" is a family
+// here.
 package climate
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"time"
@@ -28,9 +26,8 @@ import (
 	"frostlab/internal/weather"
 )
 
-// Params parameterises a family. The zero value selects the family's
-// defaults field by field only through Family.Model; New applies Params
-// exactly as given.
+// Params parameterises a family; each Family carries its calibrated
+// Defaults. New applies Params exactly as given.
 type Params struct {
 	// Latitude in degrees north; controls day length and solar elevation.
 	Latitude float64
@@ -159,11 +156,6 @@ func Lookup(name string) (Family, error) {
 		}
 	}
 	return Family{}, fmt.Errorf("climate: unknown family %q (have %v)", name, Names())
-}
-
-// Model builds the family at its default parameters.
-func (f Family) Model(epoch time.Time, seed string) (weather.Model, error) {
-	return build(f, f.Defaults, epoch, seed)
 }
 
 // New builds a named family with explicit parameters. The seed feeds every
@@ -340,17 +332,6 @@ func (o *overlay) CloneModel() weather.Model {
 	c := *o
 	c.base = o.base.CloneModel().(weather.Cloner)
 	return &c
-}
-
-// ReadCSV imports a recorded weather trace (the cmd/weathergen /
-// weather.WriteTraceCSV format) as a climate source, so real station data
-// drops into any site slot of a multi-site fleet.
-func ReadCSV(r io.Reader) (*weather.Trace, error) {
-	tr, err := weather.ReadTraceCSV(r)
-	if err != nil {
-		return nil, fmt.Errorf("climate: %w", err)
-	}
-	return tr, nil
 }
 
 func clamp01(v float64) float64 {

@@ -1,8 +1,6 @@
 package climate
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -46,7 +44,7 @@ func TestLibraryComplete(t *testing.T) {
 // [0, 100] % and dew point never above the dry-bulb temperature.
 func TestPhysicalBounds(t *testing.T) {
 	for _, f := range Families() {
-		m, err := f.Model(testEpoch, "bounds-seed")
+		m, err := New(f.Name, f.Defaults, testEpoch, "bounds-seed")
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
@@ -86,7 +84,7 @@ func TestTropicalCondensationStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stressed, err := f.Model(testEpoch, "tropic-seed")
+	stressed, err := New(f.Name, f.Defaults, testEpoch, "tropic-seed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +129,7 @@ func TestTropicalCondensationStress(t *testing.T) {
 // build on, with bone-dry air.
 func TestDesertExtremes(t *testing.T) {
 	f, _ := Lookup("desert")
-	m, err := f.Model(testEpoch, "desert-seed")
+	m, err := New(f.Name, f.Defaults, testEpoch, "desert-seed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +163,7 @@ func TestDesertExtremes(t *testing.T) {
 // pre-monsoon regime to sustained saturation bursts after the onset.
 func TestMonsoonOnset(t *testing.T) {
 	f, _ := Lookup("monsoon")
-	m, err := f.Model(testEpoch, "monsoon-seed")
+	m, err := New(f.Name, f.Defaults, testEpoch, "monsoon-seed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,15 +220,15 @@ func TestCoastalFogBanks(t *testing.T) {
 // CloneModel copies — and a different seed perturbs the path.
 func TestReplayDeterminism(t *testing.T) {
 	for _, f := range Families() {
-		a, err := f.Model(testEpoch, "replay")
+		a, err := New(f.Name, f.Defaults, testEpoch, "replay")
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := f.Model(testEpoch, "replay")
+		b, err := New(f.Name, f.Defaults, testEpoch, "replay")
 		if err != nil {
 			t.Fatal(err)
 		}
-		other, err := f.Model(testEpoch, "replay-2")
+		other, err := New(f.Name, f.Defaults, testEpoch, "replay-2")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,32 +277,5 @@ func TestParamsValidate(t *testing.T) {
 	}
 	if _, err := New("desert", base, time.Time{}, "s"); err == nil {
 		t.Error("zero epoch accepted")
-	}
-}
-
-// TestReadCSV round-trips a generated trace through the climate CSV import
-// and rejects malformed input.
-func TestReadCSV(t *testing.T) {
-	f, _ := Lookup("desert")
-	m, err := f.Model(testEpoch, "csv-seed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	end := testEpoch.Add(48 * time.Hour)
-	if err := weather.WriteTraceCSV(&buf, m, testEpoch, end, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ReadCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := testEpoch.Add(7 * time.Hour)
-	got, want := tr.At(at), m.At(at)
-	if d := float64(got.Temp - want.Temp); d > 0.02 || d < -0.02 {
-		t.Fatalf("round-trip temp at %v: got %v, want %v", at, got.Temp, want.Temp)
-	}
-	if _, err := ReadCSV(strings.NewReader("not,a,trace\n")); err == nil {
-		t.Fatal("malformed CSV accepted")
 	}
 }

@@ -26,9 +26,6 @@ func NewDamper(slew float64) (*Damper, error) {
 // Actual returns the damper's current position.
 func (d *Damper) Actual() float64 { return d.actual }
 
-// Reset moves the damper instantaneously (installation, manual override).
-func (d *Damper) Reset(pos float64) { d.actual = clamp01(pos) }
-
 // Step drives the damper toward cmd for one control tick and returns the
 // new position. A stuck damper does not move at all.
 func (d *Damper) Step(cmd float64, stuck bool) float64 {

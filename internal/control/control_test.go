@@ -67,7 +67,7 @@ func TestDamperSlewAndFaults(t *testing.T) {
 	if after := d.Step(1, true); after != got {
 		t.Fatalf("stuck step moved %v -> %v", got, after)
 	}
-	d.Reset(0.96)
+	d.actual = 0.96
 	if got := d.Step(1, false); got != 1 {
 		t.Fatalf("within-slew step %v, want exact landing on 1", got)
 	}
@@ -96,7 +96,7 @@ func TestDutyCyclerMinHold(t *testing.T) {
 func TestControllerColdTentClosesAndBoosts(t *testing.T) {
 	cfg := DefaultConfig()
 	c := mustController(t, cfg)
-	c.damper.Reset(0.8)
+	c.damper.actual = 0.8
 	var out Output
 	for i := 0; i < 60; i++ {
 		out = c.Step(in(i, -2)) // below envelope low and boost threshold
@@ -137,7 +137,7 @@ func TestControllerHotTentOpensThenMigrates(t *testing.T) {
 func TestControllerDewGuardCapsDamper(t *testing.T) {
 	cfg := DefaultConfig()
 	c := mustController(t, cfg)
-	c.damper.Reset(1)
+	c.damper.actual = 1
 	// Saturated air against a cold surface: dew-point margin is negative.
 	wet := Inputs{Now: t0, Inside: 8, InsideRH: 98, Outside: 6, Surface: 5}
 	var out Output

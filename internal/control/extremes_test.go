@@ -25,7 +25,7 @@ func TestDesertEnvelopeOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := fam.Model(weather.ExperimentEpoch, "desert-ctl")
+	m, err := climate.New(fam.Name, fam.Defaults, weather.ExperimentEpoch, "desert-ctl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestMonsoonCondensationGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := fam.Model(weather.ExperimentEpoch, "monsoon-ctl")
+	m, err := climate.New(fam.Name, fam.Defaults, weather.ExperimentEpoch, "monsoon-ctl")
 	if err != nil {
 		t.Fatal(err)
 	}

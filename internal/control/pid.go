@@ -66,11 +66,6 @@ func (p *PID) Bumpless(target, e float64) {
 	p.prevE, p.havePrev = e, true
 }
 
-// Reset clears all regulator state.
-func (p *PID) Reset() {
-	p.integ, p.prevE, p.havePrev = 0, 0, false
-}
-
 // Hysteresis is a bang-bang regulator with a symmetric deadband: the output
 // switches to High when the error exceeds +Deadband, to Low when it falls
 // below −Deadband, and otherwise holds its previous value. It is the
@@ -102,6 +97,3 @@ func (h *Hysteresis) Update(e float64) float64 {
 	}
 	return h.out
 }
-
-// Reset clears the switch state.
-func (h *Hysteresis) Reset() { h.out, h.init = 0, false }

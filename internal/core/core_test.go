@@ -231,10 +231,7 @@ func TestMonitoringMirrorsLogs(t *testing.T) {
 	if r.MonitorRounds == 0 {
 		t.Fatal("no monitoring rounds ran")
 	}
-	store, err := exp.HostStore("01")
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := exp.hosts[exp.byID["01"]].store
 	mirror := exp.Mirror("01")
 	// The mirror lags the live log by at most one collection round; both
 	// must be non-empty and the mirror a prefix of the live log.
@@ -266,7 +263,7 @@ func TestMonitoringMirrorsLogs(t *testing.T) {
 			t.Errorf("host %s has zero accounted rounds", hg.HostID)
 		}
 	}
-	if exp.GapLedger().Rounds() == 0 {
+	if exp.gaps.Rounds() == 0 {
 		t.Error("ledger recorded no rounds")
 	}
 }
@@ -281,11 +278,7 @@ func TestSensorLogsContainCPUReadings(t *testing.T) {
 	if _, err := exp.Run(); err != nil {
 		t.Fatal(err)
 	}
-	store, err := exp.HostStore("02")
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := string(store.Get(monitor.SensorLog))
+	log := string(exp.hosts[exp.byID["02"]].store.Get(monitor.SensorLog))
 	if !strings.Contains(log, "cpu=") {
 		t.Errorf("sensor log has no cpu readings: %q", log[:min(len(log), 200)])
 	}
@@ -312,16 +305,6 @@ func TestTentCPUsColderThanBasement(t *testing.T) {
 	// Basement CPUs sit in a 21 °C room: comfortably warm.
 	if ctrl.CPUMin < 25 {
 		t.Errorf("basement CPU min %v implausibly cold", ctrl.CPUMin)
-	}
-}
-
-func TestHostStoreUnknown(t *testing.T) {
-	exp, err := New(shortConfig("unknown"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exp.HostStore("nope"); err == nil {
-		t.Error("unknown host accepted")
 	}
 }
 

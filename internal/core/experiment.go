@@ -371,7 +371,7 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 	if cfg.ReadoutEvery > 0 {
 		first := cfg.LascarArrival.Add(cfg.ReadoutEvery)
 		if first.Before(cfg.End) {
-			if _, err := e.sched.Periodic(first, cfg.ReadoutEvery, nil, func(now time.Time) {
+			if err := e.sched.Periodic(first, cfg.ReadoutEvery, nil, func(now time.Time) {
 				e.lascar.BeginReadout(now.Add(20 * time.Minute))
 				e.logEvent(now, EventReadout, "lascar", "USB readout trip; indoor samples recorded")
 				if e.tracer != nil {
@@ -384,7 +384,7 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 	}
 
 	// Environment physics.
-	if _, err := e.sched.Periodic(cfg.Start, cfg.EnvStep, nil, func(now time.Time) {
+	if err := e.sched.Periodic(cfg.Start, cfg.EnvStep, nil, func(now time.Time) {
 		out := e.wx.At(now)
 		power := e.tentPower()
 		fail(e.tent.Step(cfg.EnvStep, out, power))
@@ -396,7 +396,7 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 	}
 
 	// Failure sampling, component thermals, sensor logging.
-	if _, err := e.sched.Periodic(cfg.Start.Add(cfg.FailureStep), cfg.FailureStep, nil, func(now time.Time) {
+	if err := e.sched.Periodic(cfg.Start.Add(cfg.FailureStep), cfg.FailureStep, nil, func(now time.Time) {
 		fail(e.failureTick(now))
 		e.met.failureTicks.Inc()
 		if e.tracer != nil {
@@ -415,7 +415,7 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 			if at.Before(cfg.Start) || at.After(cfg.End) {
 				continue
 			}
-			if _, err := e.sched.At(at, func(now time.Time) {
+			if err := e.sched.At(at, func(now time.Time) {
 				e.tent.Apply(m)
 				e.logEvent(now, EventModification, "tent", fmt.Sprintf("%v applied (%s)", m, modName(m)))
 			}); err != nil {
@@ -424,7 +424,7 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 		}
 	} else {
 		every := e.ctl.ctl.Config().Every
-		if _, err := e.sched.Periodic(cfg.Start.Add(every), every, nil, func(now time.Time) {
+		if err := e.sched.Periodic(cfg.Start.Add(every), every, nil, func(now time.Time) {
 			e.controlTick(now)
 		}); err != nil {
 			return nil, err
@@ -441,7 +441,7 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 		if at.After(cfg.End) {
 			continue
 		}
-		if _, err := e.sched.At(at, func(now time.Time) {
+		if err := e.sched.At(at, func(now time.Time) {
 			fail(e.installHost(now, hs))
 		}); err != nil {
 			return nil, err
@@ -453,7 +453,7 @@ func (e *Experiment) RunContext(ctx context.Context) (*Results, error) {
 
 	// Monitoring rounds.
 	if cfg.MonitorEvery > 0 {
-		if _, err := e.sched.Periodic(cfg.Start.Add(cfg.MonitorEvery), cfg.MonitorEvery, nil, func(now time.Time) {
+		if err := e.sched.Periodic(cfg.Start.Add(cfg.MonitorEvery), cfg.MonitorEvery, nil, func(now time.Time) {
 			fail(e.monitorRound(now))
 		}); err != nil {
 			return nil, err
@@ -538,7 +538,7 @@ func (e *Experiment) installHost(now time.Time, hs *hostState) error {
 	e.logEvent(now, EventInstall, hs.host.ID, detail)
 
 	fuzz := workload.StartFuzz(e.rng, hs.host.ID)
-	_, err = e.sched.Periodic(now.Add(workload.CyclePeriod), workload.CyclePeriod, fuzz, func(at time.Time) {
+	err = e.sched.Periodic(now.Add(workload.CyclePeriod), workload.CyclePeriod, fuzz, func(at time.Time) {
 		e.workloadCycle(at, hs)
 	})
 	return err
@@ -581,8 +581,6 @@ func (e *Experiment) workloadCycle(now time.Time, hs *hostState) {
 	line := fmt.Sprintf("%s BAD %s (bad blocks %v of %d)\n",
 		now.UTC().Format(time.RFC3339), res.MD5, res.BadBlocks, res.Blocks)
 	hs.store.Append(monitor.MD5Log, []byte(line))
-	e.engine.LogMemoryCorruption(now, hs.host.ID,
-		fmt.Sprintf("wrong md5sum; %d of %d compression blocks corrupt", len(res.BadBlocks), res.Blocks))
 	e.logEvent(now, EventBadHash, hs.host.ID,
 		fmt.Sprintf("wrong hash in %s; %d of %d blocks corrupt", hs.envName(), len(res.BadBlocks), res.Blocks))
 }
@@ -697,13 +695,13 @@ func (e *Experiment) watchChip(now time.Time, hs *hostState, trueCPU units.Celsi
 				fmt.Sprintf("lm-sensors reporting %v; anomaly detected", sensors.BogusReading))
 			// The operators tried to redetect the chip two days later —
 			// which killed it.
-			_, _ = e.sched.At(now.Add(48*time.Hour), func(at time.Time) {
+			_ = e.sched.At(now.Add(48*time.Hour), func(at time.Time) {
 				hs.chip.Redetect()
 				if hs.chip.State() == sensors.ChipUndetected && !hs.chipLost {
 					hs.chipLost = true
 					e.logEvent(at, EventChipLost, hs.host.ID, "redetection attempt; chip ceased to be detected")
 					// "After a week, we risked a warm system reboot."
-					_, _ = e.sched.At(at.Add(7*24*time.Hour), func(at2 time.Time) {
+					_ = e.sched.At(at.Add(7*24*time.Hour), func(at2 time.Time) {
 						hs.chip.WarmReboot()
 						e.logEvent(at2, EventChipRecovered, hs.host.ID, "warm reboot; sensor chip works again")
 					})
@@ -748,14 +746,14 @@ func (e *Experiment) handleTransient(now time.Time, hs *hostState) {
 		e.tracer.Span("outage", "failure", hs.tid, now, after)
 	}
 	if nth == 1 {
-		_, _ = e.sched.At(now.Add(after), func(at time.Time) {
+		_ = e.sched.At(now.Add(after), func(at time.Time) {
 			hs.online = true
 			e.recomputeTentPower()
 			e.logEvent(at, EventRepair, hs.host.ID, "inspection and reset; no cause found; marked transient")
 		})
 		return
 	}
-	_, _ = e.sched.At(now.Add(after), func(at time.Time) {
+	_ = e.sched.At(now.Add(after), func(at time.Time) {
 		hs.relocated = true
 		hs.online = true
 		e.recomputeTentPower()
@@ -792,16 +790,14 @@ func (e *Experiment) scheduleSwitches() {
 		if at.After(e.cfg.End) {
 			continue
 		}
-		_, _ = e.sched.At(at, func(now time.Time) {
-			e.engine.LogSwitchFailure(now, s.sw.ID)
+		_ = e.sched.At(at, func(now time.Time) {
 			e.logEvent(now, EventSwitchFailure, s.sw.ID, "switch failed (known whining unit)")
 			if spare != nil {
 				sp := spare
 				spare = nil
 				spareAt := now.Add(sp.ttf)
 				if spareAt.Before(e.cfg.End) {
-					_, _ = e.sched.At(spareAt, func(at2 time.Time) {
-						e.engine.LogSwitchFailure(at2, sp.sw.ID)
+					_ = e.sched.At(spareAt, func(at2 time.Time) {
 						e.logEvent(at2, EventSwitchFailure, sp.sw.ID,
 							"spare switch manifested an identical failure state")
 					})

@@ -92,7 +92,7 @@ func RunPrototype(cfg PrototypeConfig) (*PrototypeResults, error) {
 	var sum float64
 	var n int
 	var tickErr error
-	if _, err := sched.Periodic(cfg.Start, cfg.SampleEvery, nil, func(now time.Time) {
+	if err := sched.Periodic(cfg.Start, cfg.SampleEvery, nil, func(now time.Time) {
 		out := wx.At(now)
 		boxes.Observe(out)
 		intake, _ := boxes.Air()
@@ -124,7 +124,7 @@ func RunPrototype(cfg PrototypeConfig) (*PrototypeResults, error) {
 	// The synthetic load ran on the prototype too (S.M.A.R.T. and
 	// lm-sensors were monitored through it, §3.1).
 	fuzz := workload.StartFuzz(rng, host.ID)
-	if _, err := sched.Periodic(cfg.Start, workload.CyclePeriod, fuzz, func(time.Time) {
+	if err := sched.Periodic(cfg.Start, workload.CyclePeriod, fuzz, func(time.Time) {
 		res.Cycles++
 	}); err != nil {
 		return nil, err

@@ -233,7 +233,7 @@ func TestReferenceEnvironmentShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The tent runs warmer than outside over the logger's window.
-	oLate, err := r.OutsideTemp.Slice(in.First, in.Last).Summarize()
+	oLate, err := r.OutsideTemp.SummarizeWindow(in.First, in.Last)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			back.OutsideTemp.Len(), back.InsideTemp.Len(), r.OutsideTemp.Len(), r.InsideTemp.Len())
 	}
 	for i := 0; i < r.OutsideTemp.Len(); i += 97 {
-		a, b := r.OutsideTemp.At(i), back.OutsideTemp.At(i)
+		a, b := r.OutsideTemp.Points()[i], back.OutsideTemp.Points()[i]
 		if !a.At.Equal(b.At) || a.Value != b.Value {
 			t.Fatalf("outside point %d differs: %+v vs %+v", i, a, b)
 		}

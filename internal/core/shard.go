@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	randv2 "math/rand/v2"
@@ -403,47 +402,33 @@ func (e *ShardedExperiment) newWeather() weather.Model {
 // Hosts returns the fleet size.
 func (e *ShardedExperiment) Hosts() int { return len(e.ids) }
 
-// Tents returns the number of tents.
-func (e *ShardedExperiment) Tents() int { return len(e.tentIDs) }
-
 // Shards returns the number of shards the fleet was partitioned into.
 func (e *ShardedExperiment) Shards() int { return len(e.shards) }
 
-// Run executes the scale run and assembles Results.
-func (e *ShardedExperiment) Run() (*Results, error) {
-	return e.RunContext(context.Background())
-}
-
-// RunContext executes the scale run under a context. Shards step the full
+// Run executes the scale run and assembles Results. Shards step the full
 // horizon concurrently — one goroutine each, no barriers — and the
 // single-threaded reducer assembles Results in fixed fleet order, so the
 // output is byte-identical at any shard count and GOMAXPROCS.
-func (e *ShardedExperiment) RunContext(ctx context.Context) (*Results, error) {
+func (e *ShardedExperiment) Run() (*Results, error) {
 	if e.ran {
 		return nil, fmt.Errorf("core: sharded experiment already ran")
 	}
 	e.ran = true
 	var wg sync.WaitGroup
-	errs := make([]error, len(e.shards))
-	for i, sh := range e.shards {
+	for _, sh := range e.shards {
 		wg.Add(1)
-		go func(i int, sh *shard) {
+		go func(sh *shard) {
 			defer wg.Done()
-			errs[i] = sh.run(ctx)
-		}(i, sh)
+			sh.run()
+		}(sh)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	e.finalizeOffline()
 	return e.assemble()
 }
 
 // run steps the shard's tents over the whole horizon.
-func (s *shard) run(ctx context.Context) error {
+func (s *shard) run() {
 	e := s.e
 	busy, hist := s.busy, (*telemetry.Histogram)(nil)
 	if e.met != nil {
@@ -454,11 +439,6 @@ func (s *shard) run(ctx context.Context) error {
 		defer busy.Set(0)
 	}
 	for t := 0; t < e.numTicks; t++ {
-		if t&255 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
 		// The duration histogram samples every 64th tick: reading the
 		// clock per tick would alone cost more than the ≤5% overhead
 		// budget on a fleet this engine steps in well under a second.
@@ -476,7 +456,6 @@ func (s *shard) run(ctx context.Context) error {
 			e.met.ticks.Inc()
 		}
 	}
-	return nil
 }
 
 // step advances the shard by one failure tick. The warm path — no event

@@ -248,9 +248,6 @@ func NewMultiSite(cfg MultiSiteConfig) (*MultiSite, error) {
 	return e, nil
 }
 
-// Ticks returns the total number of dispatch ticks in the configured run.
-func (e *MultiSite) Ticks() int { return e.ticks }
-
 // Step advances the fleet one dispatch tick. The warm path is
 // allocation-free. It returns false once the horizon is reached.
 func (e *MultiSite) Step() bool {

@@ -199,8 +199,8 @@ func TestMultiSiteHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Ticks() != 6 {
-		t.Fatalf("60 min at the 10-min dispatch tick should be 6 ticks, got %d", e.Ticks())
+	if e.ticks != 6 {
+		t.Fatalf("60 min at the 10-min dispatch tick should be 6 ticks, got %d", e.ticks)
 	}
 	n := 0
 	for e.Step() {

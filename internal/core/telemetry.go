@@ -42,9 +42,6 @@ func (e *Experiment) WithTracer(tr *telemetry.Tracer) *Experiment {
 	return e
 }
 
-// Tracer returns the attached tracer, or nil.
-func (e *Experiment) Tracer() *telemetry.Tracer { return e.tracer }
-
 // traceEvent mirrors one experiment-log event into the tracer as an
 // instant on the subject host's track. Event kinds are typed string
 // constants, so the conversion allocates nothing.

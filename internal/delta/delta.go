@@ -326,23 +326,3 @@ func UnmarshalDelta(p []byte) (*Delta, error) {
 	}
 	return d, nil
 }
-
-// Sync is the whole-file convenience wrapper: given the receiver's old
-// copy and the sender's new file, it produces (via signature and delta)
-// the receiver's reconstruction, returning it together with the number of
-// literal bytes that had to travel.
-func Sync(old, new []byte, blockSize int) ([]byte, int, error) {
-	sig, err := NewSignature(old, blockSize)
-	if err != nil {
-		return nil, 0, err
-	}
-	d, err := Compute(sig, new)
-	if err != nil {
-		return nil, 0, err
-	}
-	got, err := Apply(old, d)
-	if err != nil {
-		return nil, 0, err
-	}
-	return got, d.LiteralBytes(), nil
-}

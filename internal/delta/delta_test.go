@@ -7,6 +7,25 @@ import (
 	"testing/quick"
 )
 
+// syncFile runs the whole protocol on two in-memory files: the receiver
+// signs old, the sender computes a delta against new, and the receiver
+// applies it. It returns the reconstruction and the literal bytes sent.
+func syncFile(old, new []byte, blockSize int) ([]byte, int, error) {
+	sig, err := NewSignature(old, blockSize)
+	if err != nil {
+		return nil, 0, err
+	}
+	d, err := Compute(sig, new)
+	if err != nil {
+		return nil, 0, err
+	}
+	got, err := Apply(old, d)
+	if err != nil {
+		return nil, 0, err
+	}
+	return got, d.LiteralBytes(), nil
+}
+
 func TestWeakSumRolling(t *testing.T) {
 	// Rolling the window one byte must equal recomputing from scratch.
 	data := []byte("the quick brown fox jumps over the lazy dog, repeatedly and at length")
@@ -59,7 +78,7 @@ func TestSignatureBlocks(t *testing.T) {
 
 func TestIdenticalFilesTransferNoLiterals(t *testing.T) {
 	data := randBytes(64 << 10)
-	got, literals, err := Sync(data, data, DefaultBlockSize)
+	got, literals, err := syncFile(data, data, DefaultBlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +96,7 @@ func TestAppendOnlyTransfersTail(t *testing.T) {
 	old := randBytes(64 << 10)
 	tail := randBytes(3 << 10)
 	new := append(append([]byte(nil), old...), tail...)
-	got, literals, err := Sync(old, new, DefaultBlockSize)
+	got, literals, err := syncFile(old, new, DefaultBlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +112,7 @@ func TestMiddleEditTransfersLocally(t *testing.T) {
 	old := randBytes(128 << 10)
 	new := append([]byte(nil), old...)
 	copy(new[60<<10:], []byte("EDITED REGION"))
-	got, literals, err := Sync(old, new, DefaultBlockSize)
+	got, literals, err := syncFile(old, new, DefaultBlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +126,7 @@ func TestMiddleEditTransfersLocally(t *testing.T) {
 
 func TestEmptyOldFallsBackToLiterals(t *testing.T) {
 	new := randBytes(10 << 10)
-	got, literals, err := Sync(nil, new, DefaultBlockSize)
+	got, literals, err := syncFile(nil, new, DefaultBlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +139,7 @@ func TestEmptyOldFallsBackToLiterals(t *testing.T) {
 }
 
 func TestEmptyNew(t *testing.T) {
-	got, literals, err := Sync(randBytes(4096), nil, DefaultBlockSize)
+	got, literals, err := syncFile(randBytes(4096), nil, DefaultBlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +158,7 @@ func TestSyncRandomEditsProperty(t *testing.T) {
 			pos := rng.Intn(len(new))
 			new[pos] ^= byte(1 + rng.Intn(255))
 		}
-		got, _, err := Sync(old, new, 512)
+		got, _, err := syncFile(old, new, 512)
 		return err == nil && bytes.Equal(got, new)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -154,7 +173,7 @@ func TestShuffledBlocksCopied(t *testing.T) {
 	blockC := bytes.Repeat([]byte("C"), DefaultBlockSize)
 	old := bytes.Join([][]byte{blockA, blockB, blockC}, nil)
 	new := bytes.Join([][]byte{blockC, blockA, blockB}, nil)
-	got, literals, err := Sync(old, new, DefaultBlockSize)
+	got, literals, err := syncFile(old, new, DefaultBlockSize)
 	if err != nil {
 		t.Fatal(err)
 	}

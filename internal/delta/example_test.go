@@ -9,18 +9,28 @@ import (
 
 // The §3.5 monitoring use case: an append-only sensor log re-synced each
 // round. Only the appended tail travels.
-func ExampleSync() {
+func Example_appendOnlyLog() {
 	old := bytes.Repeat([]byte("2010-02-19T12:00:00Z cpu=-4.1\n"), 1000)
 	updated := append(append([]byte(nil), old...),
 		[]byte("2010-02-19T12:15:00Z cpu=-4.3\n")...)
 
-	got, literalBytes, err := delta.Sync(old, updated, delta.DefaultBlockSize)
+	sig, err := delta.NewSignature(old, delta.DefaultBlockSize)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	d, err := delta.Compute(sig, updated)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	got, err := delta.Apply(old, d)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
 	fmt.Printf("reconstructed %v bytes correctly: %v\n", len(got), bytes.Equal(got, updated))
-	fmt.Printf("full copy would move %d bytes; the delta moved %d\n", len(updated), literalBytes)
+	fmt.Printf("full copy would move %d bytes; the delta moved %d\n", len(updated), d.LiteralBytes())
 	// Output:
 	// reconstructed 30030 bytes correctly: true
 	// full copy would move 30030 bytes; the delta moved 1358

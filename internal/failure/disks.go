@@ -92,6 +92,5 @@ func (e *Engine) StepDisk(now time.Time, dt time.Duration, diskID string, temp u
 		Kind:      Hard,
 		Detail:    fmt.Sprintf("drive failure at %v (hazard %.2e/h)", temp, h),
 	}
-	e.log = append(e.log, ev)
 	return &ev, nil
 }

@@ -19,7 +19,6 @@ package failure
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"frostlab/internal/simkernel"
@@ -38,34 +37,19 @@ const (
 	Hard
 )
 
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case Transient:
-		return "transient"
-	case Hard:
-		return "hard"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
 // Component identifies what failed.
 type Component string
 
 // Components tracked by the engine.
 const (
-	System      Component = "system" // whole-host crash/hang, cause unidentified
-	Memory      Component = "memory" // silent corruption (soft error)
-	NetSwitch   Component = "switch"
-	DiskDrive   Component = "disk"
-	PowerSupply Component = "psu"
+	System    Component = "system" // whole-host crash/hang, cause unidentified
+	DiskDrive Component = "disk"
 )
 
-// Event is one logged failure.
+// Event is one sampled failure.
 type Event struct {
 	At        time.Time
-	SubjectID string // host or switch ID
+	SubjectID string // host or drive ID
 	Component Component
 	Kind      Kind
 	Detail    string
@@ -236,7 +220,6 @@ type Engine struct {
 	hosts  map[string]*hostRec
 	// diskStreams interns "disk/"+diskID per drive on first step.
 	diskStreams map[string]string
-	log         []Event
 }
 
 // NewEngine returns an engine with the given calibration.
@@ -252,9 +235,6 @@ func NewEngine(params Params, rng *simkernel.RNG) (*Engine, error) {
 	}, nil
 }
 
-// Params returns the engine's calibration.
-func (e *Engine) Params() Params { return e.params }
-
 // RegisterHost runs the weak-unit lottery for a host. knownDefective marks
 // units from vendor B's bad series. Registering twice is a no-op and keeps
 // the first draw.
@@ -269,12 +249,6 @@ func (e *Engine) RegisterHost(hostID string, knownDefective bool) {
 	}
 }
 
-// Weak reports the lottery outcome for a registered host.
-func (e *Engine) Weak(hostID string) bool {
-	r, ok := e.hosts[hostID]
-	return ok && r.weak
-}
-
 // hazardPerHour computes a host's current transient hazard.
 func (e *Engine) hazardPerHour(rec *hostRec, s Stress) float64 {
 	return e.params.TransientHazardPerHour(rec.weak, s)
@@ -282,8 +256,7 @@ func (e *Engine) hazardPerHour(rec *hostRec, s Stress) float64 {
 
 // StepHost advances one host by dt under the given stress and returns the
 // transient system failure event, if one occurred. The caller decides what
-// a failure does (crash, reset, relocation); the engine only samples and
-// logs it.
+// a failure does (crash, reset, relocation); the engine only samples it.
 func (e *Engine) StepHost(now time.Time, dt time.Duration, hostID string, s Stress) (*Event, error) {
 	rec, ok := e.hosts[hostID]
 	if !ok {
@@ -304,7 +277,6 @@ func (e *Engine) StepHost(now time.Time, dt time.Duration, hostID string, s Stre
 		Kind:      Transient,
 		Detail:    fmt.Sprintf("system failure (hazard %.2e/h, ambient %v, case %v)", h, s.Ambient, s.CaseAir),
 	}
-	e.log = append(e.log, ev)
 	return &ev, nil
 }
 
@@ -325,14 +297,6 @@ func (e *Engine) RegisterSwitch(switchID string, whining bool) time.Duration {
 	return time.Duration(hours * float64(time.Hour))
 }
 
-// LogSwitchFailure records a switch death at the given instant.
-func (e *Engine) LogSwitchFailure(now time.Time, switchID string) Event {
-	ev := Event{At: now, SubjectID: switchID, Component: NetSwitch, Kind: Hard,
-		Detail: "switch failure (defect inherent to the individual unit)"}
-	e.log = append(e.log, ev)
-	return ev
-}
-
 // CycleCorrupted samples whether one workload cycle that touches the given
 // number of memory pages suffers a silent corruption. ECC machines never
 // corrupt (single-bit errors are corrected); on non-ECC machines each page
@@ -347,32 +311,6 @@ func (e *Engine) CycleCorrupted(hostID string, pages int64, ecc bool) bool {
 		stream = "mem/" + hostID // unregistered host: preserve the old name
 	}
 	return e.rng.Bernoulli(stream, p)
-}
-
-// LogMemoryCorruption records a bad-hash incident.
-func (e *Engine) LogMemoryCorruption(now time.Time, hostID string, detail string) Event {
-	ev := Event{At: now, SubjectID: hostID, Component: Memory, Kind: Transient, Detail: detail}
-	e.log = append(e.log, ev)
-	return ev
-}
-
-// Log returns all recorded events in time order.
-func (e *Engine) Log() []Event {
-	out := make([]Event, len(e.log))
-	copy(out, e.log)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At.Before(out[j].At) })
-	return out
-}
-
-// EventsFor returns the logged events for one subject.
-func (e *Engine) EventsFor(subjectID string) []Event {
-	var out []Event
-	for _, ev := range e.Log() {
-		if ev.SubjectID == subjectID {
-			out = append(out, ev)
-		}
-	}
-	return out
 }
 
 // memStream returns a registered host's interned memory stream name.

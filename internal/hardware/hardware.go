@@ -288,12 +288,6 @@ func (f *Fleet) Add(h *Host) error {
 	return nil
 }
 
-// Get returns the host with the given ID.
-func (f *Fleet) Get(id string) (*Host, bool) {
-	h, ok := f.hosts[id]
-	return h, ok
-}
-
 // All returns every host in insertion order.
 func (f *Fleet) All() []*Host {
 	out := make([]*Host, 0, len(f.order))
@@ -312,18 +306,6 @@ func (f *Fleet) At(loc Location) []*Host {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// InstalledAt returns the hosts at a location that are installed by the
-// given instant, sorted by ID.
-func (f *Fleet) InstalledAt(loc Location, now time.Time) []*Host {
-	var out []*Host
-	for _, h := range f.At(loc) {
-		if !h.InstalledAt.After(now) {
-			out = append(out, h)
-		}
-	}
 	return out
 }
 

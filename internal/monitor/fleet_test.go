@@ -85,7 +85,7 @@ func TestFleetHealthyRound(t *testing.T) {
 		t.Errorf("healthy round slept: %v", sleep.pauses)
 	}
 	// The mirrors actually hold the content.
-	if got := fc.Collector().Mirror("02").Size(MD5Log); got == 0 {
+	if got := fc.coll.Mirror("02").Size(MD5Log); got == 0 {
 		t.Error("mirror empty after collection")
 	}
 }

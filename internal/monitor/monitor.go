@@ -151,9 +151,6 @@ func NewAgent(hostID string, store *FileStore) *Agent {
 	return &Agent{hostID: hostID, store: store}
 }
 
-// Store returns the agent's file store.
-func (a *Agent) Store() *FileStore { return a.store }
-
 // Serve answers collector requests on the session until a bye frame or a
 // transport error. It returns nil on a clean bye.
 func (a *Agent) Serve(sess *wire.Session) error {

@@ -56,8 +56,11 @@ func TestSampleDBTailBuffering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !it.Next() || it.V() != -4.1 {
-		t.Fatalf("stored sample missing or wrong: %v", it.Err())
+	if !it.Next() {
+		t.Fatalf("stored sample missing: %v", it.Err())
+	}
+	if _, v := it.At(); v != -4.1 {
+		t.Fatalf("stored sample = %g, want -4.1", v)
 	}
 	if it.Next() {
 		t.Fatal("extra sample stored")
@@ -142,8 +145,8 @@ func TestCollectorSamplesAndRetention(t *testing.T) {
 	n := 0
 	for it.Next() {
 		want := -5 + 0.1*float64(n%40)
-		if math.Abs(it.V()-want) > 1e-9 {
-			t.Fatalf("sample %d = %g, want %g", n, it.V(), want)
+		if _, v := it.At(); math.Abs(v-want) > 1e-9 {
+			t.Fatalf("sample %d = %g, want %g", n, v, want)
 		}
 		n++
 	}

@@ -216,7 +216,7 @@ func NewEngine(set *RuleSet, store *tsdb.Store) *Engine {
 		winCap:    512,
 		liveIdx:   make(map[string]int),
 		ringKey:   make(map[string]*ring),
-		tl:        newTimeline(1024),
+		tl:        newTimeline(timelineCap),
 		open:      make(map[string]*Incident),
 		closedCap: 256,
 		restored:  make(map[string]restoredState),
@@ -237,15 +237,6 @@ func (e *Engine) Live(name string, fn func() float64) *Engine {
 	e.liveNames = append(e.liveNames, name)
 	e.liveFns = append(e.liveFns, fn)
 	e.built = false
-	return e
-}
-
-// WithTimelineCap bounds the retained incident timeline (default 1024
-// events; older events are dropped and counted).
-func (e *Engine) WithTimelineCap(n int) *Engine {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.tl = newTimeline(n)
 	return e
 }
 
@@ -648,7 +639,7 @@ func (e *Engine) Restore() error {
 				e.incidentsTotal++
 				e.open[key] = &Incident{
 					ID: e.seq, Rule: ev.rule, Instance: ev.inst,
-					Severity: e.severityOf(ev.rule),
+					Severity:  e.severityOf(ev.rule),
 					PendingAt: at, FiredAt: at,
 				}
 			}

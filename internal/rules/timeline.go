@@ -95,10 +95,10 @@ type Timeline struct {
 	dropped uint64
 }
 
+// timelineCap is how many events an engine's timeline retains.
+const timelineCap = 1024
+
 func newTimeline(capacity int) *Timeline {
-	if capacity <= 0 {
-		capacity = 1024
-	}
 	return &Timeline{events: make([]Event, capacity)}
 }
 

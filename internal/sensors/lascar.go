@@ -83,16 +83,13 @@ func NewLascar(spec LascarSpec, rng *simkernel.RNG, env Environment, interval ti
 	}, nil
 }
 
-// ArrivesAt returns the delivery instant.
-func (l *Lascar) ArrivesAt() time.Time { return l.arrivesAt }
-
 // Install registers the logger's sampling task on the scheduler. Sampling
 // starts at the later of start and the delivery date.
 func (l *Lascar) Install(sched *simkernel.Scheduler, start time.Time) error {
 	if start.Before(l.arrivesAt) {
 		start = l.arrivesAt
 	}
-	_, err := sched.Periodic(start, l.interval, nil, l.Sample)
+	err := sched.Periodic(start, l.interval, nil, l.Sample)
 	return err
 }
 

@@ -8,22 +8,6 @@ import (
 	"frostlab/internal/units"
 )
 
-// SMARTAttr is a S.M.A.R.T. attribute ID. Only the attributes the paper's
-// analysis relies on are modelled.
-type SMARTAttr int
-
-// Monitored attributes.
-const (
-	// AttrTemperature is attribute 194, the drive temperature in °C.
-	AttrTemperature SMARTAttr = 194
-	// AttrReallocatedSectors is attribute 5.
-	AttrReallocatedSectors SMARTAttr = 5
-	// AttrPowerOnHours is attribute 9.
-	AttrPowerOnHours SMARTAttr = 9
-	// AttrPendingSectors is attribute 197.
-	AttrPendingSectors SMARTAttr = 197
-)
-
 // Disk emulates one hard drive's S.M.A.R.T. state. §4.2.2: "the hard
 // drives have passed their S.M.A.R.T. long test runs" — healthy drives
 // pass; drives with reallocations beyond a threshold fail the long test.
@@ -34,10 +18,7 @@ type Disk struct {
 	// for every drive on every failure tick.
 	reallocStream string
 
-	powerOn     time.Duration
 	reallocated int
-	pending     int
-	temp        units.Celsius
 	failed      bool
 }
 
@@ -55,8 +36,6 @@ func (d *Disk) Observe(dt time.Duration, temp units.Celsius) {
 	if d.failed {
 		return
 	}
-	d.powerOn += dt
-	d.temp = temp
 	perHour := 0.00002 // baseline: ~1 reallocation per 5.7 drive-years
 	if temp > 45 {
 		perHour *= 1 + float64(temp-45)/5
@@ -77,22 +56,6 @@ func (d *Disk) Fail() { d.failed = true }
 
 // Failed reports whether the drive is dead.
 func (d *Disk) Failed() bool { return d.failed }
-
-// Read returns the current value of an attribute.
-func (d *Disk) Read(attr SMARTAttr) (int, error) {
-	switch attr {
-	case AttrTemperature:
-		return int(d.temp), nil
-	case AttrReallocatedSectors:
-		return d.reallocated, nil
-	case AttrPowerOnHours:
-		return int(d.powerOn.Hours()), nil
-	case AttrPendingSectors:
-		return d.pending, nil
-	default:
-		return 0, fmt.Errorf("sensors: unknown S.M.A.R.T. attribute %d", attr)
-	}
-}
 
 // LongTest runs the drive's extended self-test and reports whether it
 // passed.

@@ -23,49 +23,21 @@ import (
 	"time"
 )
 
-// Clock exposes the current simulated time. The Scheduler implements it;
-// components that only need to *read* time should depend on Clock, not on
-// the full Scheduler.
-type Clock interface {
-	// Now returns the current simulated instant.
-	Now() time.Time
-}
-
-// Event is a scheduled callback. Fire runs at the event's due time with the
+// event is a scheduled callback. Fire runs at the event's due time with the
 // scheduler's clock already advanced to that time.
-//
-// An Event handle is valid until the event fires: once dispatched, the
-// scheduler may recycle the Event for a later scheduling call, so holding
-// the pointer past the due time and then calling Cancel is a bug. Canceling
-// a pending event remains O(1) and safe.
-type Event struct {
+type event struct {
 	due  time.Time
 	seq  uint64 // tie-breaker: FIFO among equal due times
 	fire func(now time.Time)
-	// canceled events stay in the heap but are skipped on pop; this keeps
-	// cancellation O(1).
-	canceled bool
 	// pooled events were allocated by the scheduler and return to its free
 	// list after firing; task-owned events (pooled == false) are embedded
-	// in their Task and are never recycled.
+	// in their task and are never recycled.
 	pooled bool
 }
 
-// Cancel prevents the event from firing. Canceling an already-canceled
-// event is a no-op; canceling an event that has already fired is invalid
-// (the handle may have been reused — see the Event doc comment).
-func (e *Event) Cancel() {
-	if e != nil {
-		e.canceled = true
-	}
-}
-
-// Due returns the simulated instant the event is scheduled for.
-func (e *Event) Due() time.Time { return e.due }
-
 // before reports whether a dispatches ahead of b: earlier due time first,
 // FIFO among equal due times.
-func before(a, b *Event) bool {
+func before(a, b *event) bool {
 	if a.due.Equal(b.due) {
 		return a.seq < b.seq
 	}
@@ -83,9 +55,9 @@ type Scheduler struct {
 	// the re-push lands straight back in the head slot without re-heapifying.
 	// Invariant: when head is non-nil it orders before every queue element;
 	// when head is nil the true minimum (if any) is queue[0].
-	head   *Event
-	queue  []*Event // binary min-heap of the remaining events
-	free   []*Event // fired pooled events awaiting reuse
+	head   *event
+	queue  []*event // binary min-heap of the remaining events
+	free   []*event // fired pooled events awaiting reuse
 	seq    uint64
 	nFired uint64
 	fault  error
@@ -103,8 +75,7 @@ func NewScheduler(start time.Time) *Scheduler {
 // Now returns the current simulated time.
 func (s *Scheduler) Now() time.Time { return s.now }
 
-// Pending returns the number of events waiting in the queue, including
-// canceled ones that have not yet been skipped.
+// Pending returns the number of events waiting in the queue.
 func (s *Scheduler) Pending() int {
 	n := len(s.queue)
 	if s.head != nil {
@@ -117,33 +88,34 @@ func (s *Scheduler) Pending() int {
 func (s *Scheduler) Fired() uint64 { return s.nFired }
 
 // Err returns the first scheduling fault recorded by a recurring task's
-// re-schedule (see Task.Err). Drivers should check it when their dispatch
-// loop finishes: a non-nil fault means some task silently stopped recurring.
+// re-schedule. A recurring task re-schedules itself from inside its own
+// dispatch, where there is no caller to return an error to, so drivers
+// should check Err when their dispatch loop finishes: a non-nil fault means
+// some task silently stopped recurring.
 func (s *Scheduler) Err() error { return s.fault }
 
 // alloc takes an event from the free list, or allocates a fresh one.
-func (s *Scheduler) alloc() *Event {
+func (s *Scheduler) alloc() *event {
 	if n := len(s.free); n > 0 {
 		e := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 		return e
 	}
-	return &Event{}
+	return &event{}
 }
 
 // recycle returns a fired pooled event to the free list.
-func (s *Scheduler) recycle(e *Event) {
+func (s *Scheduler) recycle(e *event) {
 	if !e.pooled {
 		return
 	}
 	e.fire = nil
-	e.canceled = false
 	s.free = append(s.free, e)
 }
 
 // push inserts a prepared event, preferring the head slot.
-func (s *Scheduler) push(e *Event) {
+func (s *Scheduler) push(e *event) {
 	if s.head == nil {
 		if len(s.queue) == 0 || before(e, s.queue[0]) {
 			s.head = e
@@ -160,7 +132,7 @@ func (s *Scheduler) push(e *Event) {
 	s.heapPush(e)
 }
 
-func (s *Scheduler) heapPush(e *Event) {
+func (s *Scheduler) heapPush(e *event) {
 	s.queue = append(s.queue, e)
 	i := len(s.queue) - 1
 	for i > 0 {
@@ -173,7 +145,7 @@ func (s *Scheduler) heapPush(e *Event) {
 	}
 }
 
-func (s *Scheduler) heapPop() *Event {
+func (s *Scheduler) heapPop() *event {
 	n := len(s.queue)
 	e := s.queue[0]
 	last := s.queue[n-1]
@@ -203,7 +175,7 @@ func (s *Scheduler) heapPop() *Event {
 }
 
 // schedule prepares and enqueues an event at the absolute instant t.
-func (s *Scheduler) schedule(e *Event, t time.Time, fire func(now time.Time)) error {
+func (s *Scheduler) schedule(e *event, t time.Time, fire func(now time.Time)) error {
 	if t.Before(s.now) {
 		return fmt.Errorf("%w: %v < now %v", ErrPast, t, s.now)
 	}
@@ -211,28 +183,19 @@ func (s *Scheduler) schedule(e *Event, t time.Time, fire func(now time.Time)) er
 	e.seq = s.seq
 	s.seq++
 	e.fire = fire
-	e.canceled = false
 	s.push(e)
 	return nil
 }
 
 // At schedules fire to run at the absolute simulated instant t.
-func (s *Scheduler) At(t time.Time, fire func(now time.Time)) (*Event, error) {
+func (s *Scheduler) At(t time.Time, fire func(now time.Time)) error {
 	if t.Before(s.now) {
-		return nil, fmt.Errorf("%w: %v < now %v", ErrPast, t, s.now)
+		return fmt.Errorf("%w: %v < now %v", ErrPast, t, s.now)
 	}
 	e := s.alloc()
 	e.pooled = true
 	_ = s.schedule(e, t, fire) // due already validated
-	return e, nil
-}
-
-// After schedules fire to run d after the current simulated time.
-func (s *Scheduler) After(d time.Duration, fire func(now time.Time)) (*Event, error) {
-	if d < 0 {
-		return nil, fmt.Errorf("%w: negative delay %v", ErrPast, d)
-	}
-	return s.At(s.now.Add(d), fire)
+	return nil
 }
 
 // Step dispatches the next pending event, advancing the clock to its due
@@ -267,7 +230,7 @@ func (s *Scheduler) RunUntil(deadline time.Time) {
 	}
 }
 
-// NextDue returns the due time of the next pending (non-canceled) event,
+// NextDue returns the due time of the next pending event,
 // or false when the queue is empty. Callers that need to interleave their
 // own checks with dispatch — cancellation polls, deadline tests — can loop
 // over NextDue/Step instead of RunUntil.
@@ -279,117 +242,55 @@ func (s *Scheduler) NextDue() (time.Time, bool) {
 	return e.due, true
 }
 
-// RunAll dispatches every pending event. It guards against runaway
-// self-rescheduling with a generous cap and returns an error if the cap is
-// reached.
-func (s *Scheduler) RunAll(maxEvents uint64) error {
-	var n uint64
-	for s.Step() {
-		n++
-		if n >= maxEvents {
-			return fmt.Errorf("simkernel: RunAll exceeded %d events", maxEvents)
-		}
+// peek surfaces the earliest pending event into the head slot and returns
+// it, or nil when the queue is empty.
+func (s *Scheduler) peek() *event {
+	if s.head == nil && len(s.queue) > 0 {
+		s.head = s.heapPop()
 	}
-	return nil
-}
-
-// peek surfaces the earliest pending non-canceled event into the head slot
-// and returns it, or nil when the queue is empty.
-func (s *Scheduler) peek() *Event {
-	for {
-		if e := s.head; e != nil {
-			if !e.canceled {
-				return e
-			}
-			s.head = nil
-			s.recycle(e)
-			continue
-		}
-		if len(s.queue) == 0 {
-			return nil
-		}
-		e := s.heapPop()
-		if e.canceled {
-			s.recycle(e)
-			continue
-		}
-		s.head = e
-		return e
-	}
+	return s.head
 }
 
 // Periodic schedules fire every period, starting at start plus a per-cycle
 // fuzz drawn from fuzz (which may be nil for none). This mirrors the
 // paper's workload scheduling: a 10-minute cycle where each host sleeps
-// 0–119 seconds before commencing work. The returned Task can be stopped.
-func (s *Scheduler) Periodic(start time.Time, period time.Duration, fuzz func() time.Duration, fire func(now time.Time)) (*Task, error) {
+// 0–119 seconds before commencing work.
+func (s *Scheduler) Periodic(start time.Time, period time.Duration, fuzz func() time.Duration, fire func(now time.Time)) error {
 	if period <= 0 {
-		return nil, fmt.Errorf("simkernel: non-positive period %v", period)
+		return fmt.Errorf("simkernel: non-positive period %v", period)
 	}
-	t := &Task{sched: s, period: period, fuzz: fuzz, fire: fire}
+	t := &task{sched: s, period: period, fuzz: fuzz, fire: fire}
 	t.ev.fire = t.run
-	if err := t.scheduleNext(start); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return t.scheduleNext(start)
 }
 
-// Task is a recurring scheduled activity created by Scheduler.Periodic. It
-// owns exactly one Event for its whole lifetime: each cycle re-pushes that
+// task is a recurring scheduled activity created by Scheduler.Periodic. It
+// owns exactly one event for its whole lifetime: each cycle re-pushes that
 // event with the next due time, so steady-state periodic dispatch performs
 // zero allocations.
-type Task struct {
-	sched   *Scheduler
-	period  time.Duration
-	fuzz    func() time.Duration
-	fire    func(now time.Time)
-	ev      Event // the task's single reusable event (pooled == false)
-	base    time.Time
-	stopped bool
-	cycles  uint64
-	err     error
-}
-
-// Cycles returns how many times the task has fired.
-func (t *Task) Cycles() uint64 { return t.cycles }
-
-// Err returns the error that stopped the task's recurrence, if any. A
-// recurring task re-schedules itself from inside its own dispatch, where
-// there is no caller to return an error to; the fault is recorded here (and
-// mirrored on Scheduler.Err) instead of being dropped.
-func (t *Task) Err() error { return t.err }
-
-// Stop prevents all future firings.
-func (t *Task) Stop() {
-	t.stopped = true
-	t.ev.Cancel()
+type task struct {
+	sched  *Scheduler
+	period time.Duration
+	fuzz   func() time.Duration
+	fire   func(now time.Time)
+	ev     event // the task's single reusable event (pooled == false)
+	base   time.Time
 }
 
 // run is the task's event callback: dispatch the user fire, then re-push
 // the owned event for the next cycle.
-func (t *Task) run(now time.Time) {
-	if t.stopped {
-		return
-	}
-	t.cycles++
+func (t *task) run(now time.Time) {
 	t.fire(now)
-	if !t.stopped {
-		// The next cycle is anchored to the un-fuzzed base, so fuzz
-		// does not accumulate drift across cycles.
-		if err := t.scheduleNext(t.base.Add(t.period)); err != nil {
-			// Surface the fault instead of silently ending the recurrence:
-			// the driver checks Scheduler.Err at its loop boundary.
-			if t.err == nil {
-				t.err = err
-			}
-			if t.sched.fault == nil {
-				t.sched.fault = fmt.Errorf("simkernel: periodic task re-schedule: %w", err)
-			}
-		}
+	// The next cycle is anchored to the un-fuzzed base, so fuzz does not
+	// accumulate drift across cycles.
+	if err := t.scheduleNext(t.base.Add(t.period)); err != nil && t.sched.fault == nil {
+		// Surface the fault instead of silently ending the recurrence:
+		// the driver checks Scheduler.Err at its loop boundary.
+		t.sched.fault = fmt.Errorf("simkernel: periodic task re-schedule: %w", err)
 	}
 }
 
-func (t *Task) scheduleNext(base time.Time) error {
+func (t *task) scheduleNext(base time.Time) error {
 	t.base = base
 	due := base
 	if t.fuzz != nil {

@@ -9,32 +9,6 @@ import (
 	"frostlab/internal/simkernel"
 )
 
-func TestSummarize(t *testing.T) {
-	d, err := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.N != 8 || d.Min != 2 || d.Max != 9 {
-		t.Errorf("basic fields: %+v", d)
-	}
-	if d.Mean != 5 {
-		t.Errorf("mean %v", d.Mean)
-	}
-	// Sample stddev of this classic set is ~2.138.
-	if math.Abs(d.Stddev-2.138) > 0.01 {
-		t.Errorf("stddev %v", d.Stddev)
-	}
-	if math.Abs(d.Median-4.5) > 1e-9 {
-		t.Errorf("median %v", d.Median)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil); err == nil {
-		t.Error("empty accepted")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	s := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ q, want float64 }{
@@ -166,30 +140,6 @@ func TestTentVsIntelComparable(t *testing.T) {
 	}
 }
 
-func TestTwoProportionZ(t *testing.T) {
-	z, err := TwoProportionZ(Rate{Events: 1, Trials: 9}, Rate{Events: 0, Trials: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(z) >= 1.96 {
-		t.Errorf("z = %v; small-sample difference must not reach significance", z)
-	}
-	z, err = TwoProportionZ(Rate{Events: 80, Trials: 100}, Rate{Events: 20, Trials: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(z) < 1.96 {
-		t.Errorf("z = %v for 80%% vs 20%%; want significant", z)
-	}
-	if _, err := TwoProportionZ(Rate{}, Rate{Events: 1, Trials: 2}); err == nil {
-		t.Error("empty rate accepted")
-	}
-	z, err = TwoProportionZ(Rate{Events: 0, Trials: 5}, Rate{Events: 0, Trials: 7})
-	if err != nil || z != 0 {
-		t.Errorf("degenerate pooled p: z=%v err=%v", z, err)
-	}
-}
-
 func TestFisherExactKnownValues(t *testing.T) {
 	// The experiment's own table: 1 failed / 8 fine (tent) vs 0 / 9
 	// (control). Fisher's exact two-sided p = 1.0: no evidence at all.
@@ -250,71 +200,6 @@ func TestFisherExactValidation(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{-25, -10, -5, -5, 0, 5, 100}, -20, 20, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Under != 1 || h.Over != 1 {
-		t.Errorf("under/over %d/%d", h.Under, h.Over)
-	}
-	if h.Total() != 5 {
-		t.Errorf("total %d", h.Total())
-	}
-	want := []int{0, 3, 2, 0} // [-20,-10), [-10,0), [0,10), [10,20)
-	for i, w := range want {
-		if h.Counts[i] != w {
-			t.Errorf("bucket %d = %d, want %d (%v)", i, h.Counts[i], w, h.Counts)
-		}
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 0, 4); err == nil {
-		t.Error("empty range accepted")
-	}
-	if _, err := NewHistogram(nil, 0, 1, 0); err == nil {
-		t.Error("zero buckets accepted")
-	}
-}
-
-func TestFitLinearExact(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4}
-	ys := []float64{1, 3, 5, 7, 9} // y = 2x + 1
-	l, err := FitLinear(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(l.Slope-2) > 1e-9 || math.Abs(l.Intercept-1) > 1e-9 {
-		t.Errorf("fit %+v", l)
-	}
-	if math.Abs(l.R2-1) > 1e-9 {
-		t.Errorf("R2 %v", l.R2)
-	}
-}
-
-func TestFitLinearValidation(t *testing.T) {
-	if _, err := FitLinear([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	if _, err := FitLinear([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point accepted")
-	}
-	if _, err := FitLinear([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
-		t.Error("zero x-variance accepted")
-	}
-}
-
-func TestPearsonSign(t *testing.T) {
-	r, err := Pearson([]float64{1, 2, 3, 4}, []float64{8, 6, 4, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r+1) > 1e-9 {
-		t.Errorf("perfect negative correlation r = %v", r)
-	}
-}
-
 func TestBootstrapMeanCI(t *testing.T) {
 	rng := simkernel.NewRNG("bootstrap")
 	xs := make([]float64, 200)
@@ -342,16 +227,5 @@ func TestBootstrapMeanCI(t *testing.T) {
 func BenchmarkWilson(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, _, _ = Rate{Events: i % 20, Trials: 100}.WilsonInterval()
-	}
-}
-
-func BenchmarkSummarize(b *testing.B) {
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = float64(i % 97)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = Summarize(xs)
 	}
 }

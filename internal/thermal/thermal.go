@@ -20,16 +20,6 @@ import (
 	"frostlab/internal/weather"
 )
 
-// Environment yields the air conditions immediately around the machines of
-// one group. Implementations: *Tent, *Basement, *PrototypeBoxes.
-type Environment interface {
-	// Air returns the current ambient temperature and relative humidity
-	// around the equipment.
-	Air() (units.Celsius, units.RelHumidity)
-	// Name identifies the environment in logs and figures.
-	Name() string
-}
-
 // Modification is one of the paper's envelope changes, in the order they
 // appear beneath Fig. 3.
 type Modification int
@@ -109,9 +99,6 @@ type Tent struct {
 	// exactly 1 (Apply); the closed-loop controller sweeps all four levels
 	// continuously through SetVentilation. Level 0 means "as shipped".
 	vent [4]float64
-	// damper is the last commanded continuous position (SetVentilation);
-	// Apply does not change it.
-	damper float64
 
 	insideTemp  units.Celsius
 	insideVapor float64 // hPa, tracks the inside absolute moisture
@@ -130,7 +117,7 @@ func NewTent(cfg TentConfig) (*Tent, error) {
 	return &Tent{cfg: cfg}, nil
 }
 
-// Name implements Environment.
+// Name identifies the environment in logs and figures.
 func (t *Tent) Name() string { return "tent" }
 
 // Apply enables a modification fully. Applying one twice is a no-op; the
@@ -141,9 +128,6 @@ func (t *Tent) Apply(m Modification) { t.vent[m] = 1 }
 // Applied reports whether the modification is fully active.
 func (t *Tent) Applied(m Modification) bool { return t.vent[m] >= 1 }
 
-// Level returns the modification's fractional application level in [0, 1].
-func (t *Tent) Level(m Modification) float64 { return t.vent[m] }
-
 // SetVentilation maps a continuous damper position in [0, 1] onto the
 // R/I/B/F ladder (see Ladder) and applies the resulting fractional levels,
 // overwriting any previously applied discrete modifications. Position 0 is
@@ -151,13 +135,8 @@ func (t *Tent) Level(m Modification) float64 { return t.vent[m] }
 // is the actuator surface of the closed-loop controller: the paper's four
 // one-way calendar events become two endpoints of one reversible axis.
 func (t *Tent) SetVentilation(pos float64) {
-	t.damper = clamp01(pos)
-	t.vent = Ladder(t.damper)
+	t.vent = Ladder(pos)
 }
-
-// Ventilation returns the last position given to SetVentilation. Discrete
-// Apply events do not move it.
-func (t *Tent) Ventilation() float64 { return t.damper }
 
 // Ladder maps a continuous damper position in [0, 1] to fractional
 // application levels of the four envelope modifications, indexed by
@@ -279,7 +258,8 @@ func (t *Tent) Step(dt time.Duration, outside weather.Conditions, equipment unit
 	return nil
 }
 
-// Air implements Environment. Before the first Step it reports a 0 °C / 50%
+// Air returns the current ambient temperature and relative humidity
+// around the equipment. Before the first Step it reports a 0 °C / 50%
 // placeholder.
 func (t *Tent) Air() (units.Celsius, units.RelHumidity) {
 	if !t.initialized {
@@ -317,16 +297,14 @@ func NewBasement() *Basement {
 	return &Basement{Setpoint: 21, Swing: 0.8, RH: 32}
 }
 
-// Name implements Environment.
-func (b *Basement) Name() string { return "basement" }
-
 // Tick advances the HVAC cycle; dt is arbitrary but should match the
 // simulation step for a stable wobble period of about 30 minutes.
 func (b *Basement) Tick(dt time.Duration) {
 	b.phase += dt.Seconds() / (30 * 60) * 2 * 3.14159265358979
 }
 
-// Air implements Environment.
+// Air returns the current ambient temperature and relative humidity
+// around the equipment.
 func (b *Basement) Air() (units.Celsius, units.RelHumidity) {
 	return b.Setpoint + b.Swing*units.Celsius(math.Sin(b.phase)), b.RH
 }
@@ -347,16 +325,14 @@ type PrototypeBoxes struct {
 // NewPrototypeBoxes returns the prototype enclosure with a 0.5 °C offset.
 func NewPrototypeBoxes() *PrototypeBoxes { return &PrototypeBoxes{Offset: 0.5} }
 
-// Name implements Environment.
-func (p *PrototypeBoxes) Name() string { return "prototype-boxes" }
-
 // Observe records the current outside conditions.
 func (p *PrototypeBoxes) Observe(c weather.Conditions) {
 	p.outside = c
 	p.seen = true
 }
 
-// Air implements Environment.
+// Air returns the current ambient temperature and relative humidity
+// around the equipment.
 func (p *PrototypeBoxes) Air() (units.Celsius, units.RelHumidity) {
 	if !p.seen {
 		return 0, 50

@@ -2,23 +2,15 @@ package timeseries
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"frostlab/internal/tsdb"
 )
 
-// This file is the bridge between the in-memory Series (24 bytes per
-// sample, every aggregation API) and internal/tsdb's compressed blocks
-// (a few bits per sample, iterator access). Campaigns compact their
-// per-replicate reductions through it, and the monitoring plane's sample
-// store serves dashboards from block iterators while the same windows
-// remain computable here.
-
 // Compact encodes the series into compressed tsdb blocks of up to
 // blockSamples samples each (tsdb.DefaultBlockSamples when <= 0). The
-// encoding is bitwise lossless: FromBlocks returns a Series with
-// identical timestamps and identical float64 bits.
+// encoding is bitwise lossless: a tsdb.SeriesIter over the blocks yields
+// identical timestamps and identical float64 bits. Campaigns compact
+// their per-replicate reductions through it.
 func (s *Series) Compact(blockSamples int) ([]tsdb.Block, error) {
 	b := tsdb.NewBuilder(blockSamples)
 	for _, p := range s.points {
@@ -27,77 +19,4 @@ func (s *Series) Compact(blockSamples int) ([]tsdb.Block, error) {
 		}
 	}
 	return b.Finish(), nil
-}
-
-// FromBlocks decodes compressed blocks back into a Series, so every
-// existing aggregation and resampling API runs over data that lived in
-// compressed storage.
-func FromBlocks(name, unit string, blocks []tsdb.Block) (*Series, error) {
-	out := New(name, unit)
-	n := 0
-	for _, b := range blocks {
-		n += b.Count()
-	}
-	out.points = make([]Point, 0, n)
-	it := tsdb.NewSeriesIter(blocks, minInt64, maxInt64)
-	for it.Next() {
-		t, v := it.At()
-		out.points = append(out.points, Point{At: time.Unix(0, t).UTC(), Value: v})
-	}
-	if err := it.Err(); err != nil {
-		return nil, fmt.Errorf("timeseries: decoding %s: %w", name, err)
-	}
-	return out, nil
-}
-
-const (
-	minInt64 = -1 << 63
-	maxInt64 = 1<<63 - 1
-)
-
-// SummarizeBlocks computes the same descriptive statistics Summarize
-// produces, streaming straight off the block iterators — no Point slice
-// is materialised. The accumulation order matches Summarize exactly, so
-// the floating-point results are bit-identical to decompress-then-
-// Summarize.
-func SummarizeBlocks(blocks []tsdb.Block) (Summary, error) {
-	sum := Summary{Min: math.Inf(1), Max: math.Inf(-1)}
-	var total float64
-	it := tsdb.NewSeriesIter(blocks, minInt64, maxInt64)
-	for it.Next() {
-		t, v := it.At()
-		at := time.Unix(0, t).UTC()
-		if sum.N == 0 {
-			sum.First = at
-		}
-		sum.Last = at
-		if v < sum.Min {
-			sum.Min, sum.MinAt = v, at
-		}
-		if v > sum.Max {
-			sum.Max, sum.MaxAt = v, at
-		}
-		total += v
-		sum.N++
-	}
-	if err := it.Err(); err != nil {
-		return Summary{}, err
-	}
-	if sum.N == 0 {
-		return Summary{}, ErrEmpty
-	}
-	sum.Mean = total / float64(sum.N)
-	var sq float64
-	it2 := tsdb.NewSeriesIter(blocks, minInt64, maxInt64)
-	for it2.Next() {
-		d := it2.V() - sum.Mean
-		sq += d * d
-	}
-	if err := it2.Err(); err != nil {
-		return Summary{}, err
-	}
-	if sum.N > 1 {
-		sum.Stddev = math.Sqrt(sq / float64(sum.N-1))
-	}
-	return sum, nil
 }

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"frostlab/internal/tsdb"
 )
 
 func quantizedSeries(t *testing.T, n int) *Series {
@@ -27,91 +29,38 @@ func TestCompactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := FromBlocks(s.Name(), s.Unit(), blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name() != s.Name() || back.Unit() != s.Unit() || back.Len() != s.Len() {
-		t.Fatalf("decoded series shape %s/%s/%d", back.Name(), back.Unit(), back.Len())
-	}
-	for i := 0; i < s.Len(); i++ {
-		a, b := s.At(i), back.At(i)
-		if !a.At.Equal(b.At) || math.Float64bits(a.Value) != math.Float64bits(b.Value) {
-			t.Fatalf("sample %d: got (%v, %v), want (%v, %v)", i, b.At, b.Value, a.At, a.Value)
+	pts := s.Points()
+	it := tsdb.NewSeriesIter(blocks, math.MinInt64, math.MaxInt64)
+	i := 0
+	for ; it.Next(); i++ {
+		at, v := it.At()
+		if i >= len(pts) {
+			t.Fatalf("decoded more than the %d samples compacted", len(pts))
+		}
+		if a := pts[i]; at != a.At.UnixNano() || math.Float64bits(v) != math.Float64bits(a.Value) {
+			t.Fatalf("sample %d: got (%v, %v), want (%v, %v)", i, time.Unix(0, at).UTC(), v, a.At, a.Value)
 		}
 	}
-	// The compressed form must be dramatically smaller than []Point.
-	comp := 0
-	for _, b := range blocks {
-		comp += b.CompressedBytes()
-	}
-	if ratio := float64(24*s.Len()) / float64(comp); ratio < 6 {
-		t.Errorf("instrument-precision series compressed only %.1fx", ratio)
-	}
-}
-
-func TestAggregationOverBlocks(t *testing.T) {
-	// Existing aggregation and resampling APIs must work — and agree —
-	// over data that lived in compressed storage.
-	s := quantizedSeries(t, 2000)
-	blocks, err := s.Compact(128)
-	if err != nil {
+	if err := it.Err(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := FromBlocks(s.Name(), s.Unit(), blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wantSum, err := s.Summarize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSum, err := back.Summarize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantSum != gotSum {
-		t.Fatalf("Summarize over decoded blocks = %+v, want %+v", gotSum, wantSum)
-	}
-	streamed, err := SummarizeBlocks(blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed != wantSum {
-		t.Fatalf("SummarizeBlocks = %+v, want %+v", streamed, wantSum)
-	}
-
-	wantRes, err := s.Resample(2 * time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRes, err := back.Resample(2 * time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantRes.Len() != gotRes.Len() {
-		t.Fatalf("resample over blocks has %d buckets, want %d", gotRes.Len(), wantRes.Len())
-	}
-	for i := 0; i < wantRes.Len(); i++ {
-		a, b := wantRes.At(i), gotRes.At(i)
-		if !a.At.Equal(b.At) || math.Float64bits(a.Value) != math.Float64bits(b.Value) {
-			t.Fatalf("resample bucket %d differs: %v vs %v", i, a, b)
-		}
-	}
-}
-
-func TestSummarizeBlocksEmpty(t *testing.T) {
-	if _, err := SummarizeBlocks(nil); err != ErrEmpty {
-		t.Fatalf("empty blocks: got %v, want ErrEmpty", err)
+	if i != len(pts) {
+		t.Fatalf("decoded %d samples, want %d", i, len(pts))
 	}
 }
 
 func TestSummarizeWindow(t *testing.T) {
 	s := quantizedSeries(t, 1000)
-	from := s.At(100).At
-	to := s.At(300).At // exclusive
-	want, err := s.Slice(from, to).Summarize()
+	pts := s.Points()
+	from := pts[100].At
+	to := pts[300].At // exclusive
+	sub := New(s.Name(), s.Unit())
+	for _, p := range pts[100:300] {
+		if err := sub.Append(p.At, p.Value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := sub.Summarize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +77,17 @@ func TestSummarizeWindow(t *testing.T) {
 	if _, err := s.SummarizeWindow(to, from); err != ErrEmpty {
 		t.Fatalf("inverted window: got %v, want ErrEmpty", err)
 	}
+	if _, err := s.SummarizeWindow(from.Add(time.Minute), from.Add(2*time.Minute)); err != ErrEmpty {
+		t.Fatalf("window between two samples: got %v, want ErrEmpty", err)
+	}
 }
 
 func TestSummarizeWindowAllocFree(t *testing.T) {
 	// The windowed aggregation must not copy the window: the old
 	// Slice+Summarize path allocated a fresh Series per dashboard query.
 	s := quantizedSeries(t, 5000)
-	from := s.At(1000).At
-	to := s.At(4000).At
+	from := s.Points()[1000].At
+	to := s.Points()[4000].At
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := s.SummarizeWindow(from, to); err != nil {
 			t.Fatal(err)

@@ -3,7 +3,6 @@ package timeseries
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -82,28 +81,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestSlice(t *testing.T) {
-	s := New("x", "")
-	for i := 0; i < 10; i++ {
-		mustAppend(t, s, t0.Add(time.Duration(i)*time.Hour), float64(i))
-	}
-	sub := s.Slice(t0.Add(2*time.Hour), t0.Add(5*time.Hour))
-	if sub.Len() != 3 {
-		t.Fatalf("Slice len %d, want 3", sub.Len())
-	}
-	if sub.At(0).Value != 2 || sub.At(2).Value != 4 {
-		t.Errorf("slice values %v..%v", sub.At(0).Value, sub.At(2).Value)
-	}
-}
-
-func TestSliceEmptyRange(t *testing.T) {
-	s := New("x", "")
-	mustAppend(t, s, t0, 1)
-	if got := s.Slice(t0.Add(time.Hour), t0.Add(2*time.Hour)); got.Len() != 0 {
-		t.Errorf("empty range gave %d points", got.Len())
-	}
-}
-
 func TestResampleMeans(t *testing.T) {
 	s := New("x", "")
 	// Two samples in each of three 10-minute buckets.
@@ -119,8 +96,8 @@ func TestResampleMeans(t *testing.T) {
 	}
 	want := []float64{0.5, 2.5, 4.5}
 	for i, w := range want {
-		if r.At(i).Value != w {
-			t.Errorf("bucket %d = %v, want %v", i, r.At(i).Value, w)
+		if r.Points()[i].Value != w {
+			t.Errorf("bucket %d = %v, want %v", i, r.Points()[i].Value, w)
 		}
 	}
 }
@@ -169,21 +146,6 @@ func TestResamplePreservesMeanApprox(t *testing.T) {
 	}
 }
 
-func TestGaps(t *testing.T) {
-	s := New("x", "")
-	mustAppend(t, s, t0, 1)
-	mustAppend(t, s, t0.Add(5*time.Minute), 1)
-	mustAppend(t, s, t0.Add(3*time.Hour), 1) // gap
-	mustAppend(t, s, t0.Add(3*time.Hour+5*time.Minute), 1)
-	gaps := s.Gaps(30 * time.Minute)
-	if len(gaps) != 1 {
-		t.Fatalf("found %d gaps, want 1", len(gaps))
-	}
-	if gaps[0].Duration() != 2*time.Hour+55*time.Minute {
-		t.Errorf("gap duration %v", gaps[0].Duration())
-	}
-}
-
 func TestRemoveOutliers(t *testing.T) {
 	s := New("lascar", "°C")
 	// Steady -8°C trace with one +21°C indoor-readout spike in the middle.
@@ -216,7 +178,7 @@ func TestRemoveOutliersKeepsShortSeries(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
+func TestWriteCSV(t *testing.T) {
 	s := New("tent inside", "°C")
 	mustAppend(t, s, t0, -9.25)
 	mustAppend(t, s, t0.Add(5*time.Minute), -9.5)
@@ -225,48 +187,12 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := s.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name() != "tent inside" || got.Unit() != "°C" {
-		t.Errorf("header round trip: %q (%q)", got.Name(), got.Unit())
-	}
-	if got.Len() != 3 {
-		t.Fatalf("round trip lost points: %d", got.Len())
-	}
-	for i := 0; i < 3; i++ {
-		if !got.At(i).At.Equal(s.At(i).At) {
-			t.Errorf("point %d time %v != %v", i, got.At(i).At, s.At(i).At)
-		}
-		if math.Abs(got.At(i).Value-s.At(i).Value) > 0.001 {
-			t.Errorf("point %d value %v != %v", i, got.At(i).Value, s.At(i).Value)
-		}
-	}
-}
-
-func TestReadCSVBadInput(t *testing.T) {
-	cases := []string{
-		"",
-		"only-one-column\n",
-		"timestamp,v\nnot-a-time,1\n",
-		"timestamp,v\n2010-02-19 12:00:00,not-a-number\n",
-	}
-	for _, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadCSV(%q) succeeded, want error", in)
-		}
-	}
-}
-
-func TestReadCSVPlainHeader(t *testing.T) {
-	in := "timestamp,outside\n2010-02-19 12:00:00,-9.2\n"
-	s, err := ReadCSV(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Name() != "outside" || s.Unit() != "" {
-		t.Errorf("got name %q unit %q", s.Name(), s.Unit())
+	want := "timestamp,tent inside (°C)\n" +
+		"2010-02-19 12:00:00,-9.250\n" +
+		"2010-02-19 12:05:00,-9.500\n" +
+		"2010-02-19 12:10:00,-10.125\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteCSV wrote\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -103,7 +103,7 @@ func BenchmarkCompressionRatio(b *testing.B) {
 	}
 	comp := 0
 	for _, blk := range blocks {
-		comp += blk.CompressedBytes()
+		comp += len(blk.data)
 	}
 	b.ReportMetric(float64(24*len(corpus))/float64(comp), "x_vs_point24")
 	b.ReportMetric(float64(16*len(corpus))/float64(comp), "x_vs_raw16")

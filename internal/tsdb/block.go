@@ -191,7 +191,6 @@ func (a *appender) writeValue(bits uint64, v float64) {
 // entry. Blocks are safe for concurrent use; the data slice is never
 // mutated after sealing.
 type Block struct {
-	seriesID   uint32
 	count      uint32
 	minT, maxT int64
 	data       []byte
@@ -199,33 +198,14 @@ type Block struct {
 
 // seal copies the appender's stream into an immutable block and resets the
 // appender for the next block.
-func (a *appender) seal(seriesID uint32) Block {
-	b := Block{
-		seriesID: seriesID,
-		count:    a.count,
-		minT:     a.minT,
-		maxT:     a.maxT,
-		data:     append([]byte(nil), a.bw.bytes()...),
-	}
+func (a *appender) seal() Block {
+	b := snapshotHead(a)
 	a.reset()
 	return b
 }
 
-// SeriesID returns the block's owning series, as assigned by its store
-// (blocks built by a Builder carry ID 0).
-func (b Block) SeriesID() uint32 { return b.seriesID }
-
 // Count returns the number of samples in the block.
 func (b Block) Count() int { return int(b.count) }
-
-// MinTime returns the first sample's timestamp (UnixNano).
-func (b Block) MinTime() int64 { return b.minT }
-
-// MaxTime returns the last sample's timestamp (UnixNano).
-func (b Block) MaxTime() int64 { return b.maxT }
-
-// CompressedBytes returns the size of the compressed sample stream.
-func (b Block) CompressedBytes() int { return len(b.data) }
 
 // Iter returns a forward iterator over the block's samples. The iterator
 // decodes directly from the compressed bytes; it never materialises a
@@ -258,7 +238,7 @@ func (b *Builder) Append(t int64, v float64) error {
 		return err
 	}
 	if int(b.app.count) >= b.maxSamples {
-		b.blocks = append(b.blocks, b.app.seal(0))
+		b.blocks = append(b.blocks, b.app.seal())
 	}
 	return nil
 }
@@ -267,7 +247,7 @@ func (b *Builder) Append(t int64, v float64) error {
 // builder is reusable afterwards.
 func (b *Builder) Finish() []Block {
 	if b.app.count > 0 {
-		b.blocks = append(b.blocks, b.app.seal(0))
+		b.blocks = append(b.blocks, b.app.seal())
 	}
 	out := b.blocks
 	b.blocks = nil

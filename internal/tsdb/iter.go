@@ -122,8 +122,5 @@ func (it *Iter) At() (int64, float64) { return it.t, math.Float64frombits(it.v) 
 // T returns the current sample's timestamp (UnixNano).
 func (it *Iter) T() int64 { return it.t }
 
-// V returns the current sample's value.
-func (it *Iter) V() float64 { return math.Float64frombits(it.v) }
-
 // Err returns the corruption error that stopped the iterator, if any.
 func (it *Iter) Err() error { return it.err }

@@ -161,7 +161,6 @@ func (s *Store) addBlock(name string, b Block) error {
 	if len(ms.blocks) > 0 && b.minT < ms.blocks[len(ms.blocks)-1].maxT {
 		return fmt.Errorf("%w: %q block starts before restored history ends", ErrOutOfOrder, name)
 	}
-	b.seriesID = id
 	ms.blocks = append(ms.blocks, b)
 	ms.samples += int64(b.count)
 	// Keep Latest coherent across a restore: decode the block's final

@@ -92,7 +92,7 @@ func (s *Store) appendLocked(id uint32, t int64, v float64) error {
 	ms.samples++
 	ms.lastT, ms.lastV = t, v
 	if int(ms.head.count) >= s.maxSamples {
-		ms.blocks = append(ms.blocks, ms.head.seal(id))
+		ms.blocks = append(ms.blocks, ms.head.seal())
 	}
 	return nil
 }
@@ -216,19 +216,18 @@ func (s *Store) Blocks(name string) ([]Block, error) {
 	out := make([]Block, 0, len(ms.blocks)+1)
 	out = append(out, ms.blocks...)
 	if ms.head.count > 0 {
-		out = append(out, snapshotHead(&ms.head, id))
+		out = append(out, snapshotHead(&ms.head))
 	}
 	return out, nil
 }
 
 // snapshotHead copies the head's stream into a Block without resetting it.
-func snapshotHead(a *appender, id uint32) Block {
+func snapshotHead(a *appender) Block {
 	return Block{
-		seriesID: id,
-		count:    a.count,
-		minT:     a.minT,
-		maxT:     a.maxT,
-		data:     append([]byte(nil), a.bw.bytes()...),
+		count: a.count,
+		minT:  a.minT,
+		maxT:  a.maxT,
+		data:  append([]byte(nil), a.bw.bytes()...),
 	}
 }
 
@@ -302,12 +301,6 @@ func (si *SeriesIter) Next() bool {
 
 // At returns the current sample.
 func (si *SeriesIter) At() (int64, float64) { return si.cur.At() }
-
-// T returns the current sample's timestamp (UnixNano).
-func (si *SeriesIter) T() int64 { return si.cur.T() }
-
-// V returns the current sample's value.
-func (si *SeriesIter) V() float64 { return si.cur.V() }
 
 // Err returns the corruption error that stopped iteration, if any.
 func (si *SeriesIter) Err() error { return si.err }

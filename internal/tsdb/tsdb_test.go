@@ -63,7 +63,7 @@ func TestRoundTripRegularDecimal(t *testing.T) {
 	blocks := roundTrip(t, "regular-decimal", in, 1024)
 	var comp int
 	for _, b := range blocks {
-		comp += b.CompressedBytes()
+		comp += len(b.data)
 	}
 	raw := 16 * len(in)
 	if ratio := float64(raw) / float64(comp); ratio < 6 {

@@ -1,53 +1,9 @@
 package wire
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
-
-func TestKeystoreRoundTrip(t *testing.T) {
-	ks := Keystore{
-		"01":  []byte("key-one"),
-		"02":  []byte{0x00, 0xff, 0x10},
-		"c01": []byte("control-twin"),
-	}
-	var buf bytes.Buffer
-	if err := ks.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadKeystore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(ks) {
-		t.Fatalf("round trip %d entries, want %d", len(back), len(ks))
-	}
-	for id, key := range ks {
-		got, err := back.Lookup(id)
-		if err != nil {
-			t.Fatalf("lookup %s: %v", id, err)
-		}
-		if !bytes.Equal(got, key) {
-			t.Errorf("key for %s differs", id)
-		}
-	}
-}
-
-func TestKeystoreSaveSortedWithHeader(t *testing.T) {
-	ks := Keystore{"b": []byte("x"), "a": []byte("y")}
-	var buf bytes.Buffer
-	if err := ks.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if !strings.HasPrefix(lines[0], "#") {
-		t.Error("missing comment header")
-	}
-	if !strings.HasPrefix(lines[1], "a ") || !strings.HasPrefix(lines[2], "b ") {
-		t.Errorf("entries not sorted: %v", lines)
-	}
-}
 
 func TestLoadKeystoreCommentsAndBlanks(t *testing.T) {
 	in := "# comment\n\n01 6b6579\n   \n# more\n02 00ff\n"
@@ -75,12 +31,5 @@ func TestLoadKeystoreRejectsMalformed(t *testing.T) {
 		if _, err := LoadKeystore(strings.NewReader(in)); err == nil {
 			t.Errorf("malformed keystore %q accepted", in)
 		}
-	}
-}
-
-func TestSaveRejectsWhitespaceID(t *testing.T) {
-	ks := Keystore{"bad id": []byte("k")}
-	if err := ks.Save(&bytes.Buffer{}); err == nil {
-		t.Error("whitespace id accepted")
 	}
 }

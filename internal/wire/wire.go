@@ -17,7 +17,6 @@
 package wire
 
 import (
-	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -63,15 +62,9 @@ func (ks Keystore) Lookup(peer string) ([]byte, error) {
 type Session struct {
 	rw      io.ReadWriter
 	key     []byte // session key
-	peer    string
 	sendSeq uint64
 	recvSeq uint64
 }
-
-// Peer returns the authenticated identity of the other side. On the client
-// it is the server name given to Dial; on the server it is the client's
-// claimed and verified host ID.
-func (s *Session) Peer() string { return s.peer }
 
 func mac(key []byte, parts ...[]byte) []byte {
 	m := hmac.New(sha256.New, key)
@@ -125,7 +118,7 @@ func Dial(rw io.ReadWriter, hostID string, psk []byte, nonce Nonce) (*Session, e
 	if err := writeBlob(rw, mac(psk, []byte("cli"), sn, cn)); err != nil {
 		return nil, err
 	}
-	return &Session{rw: rw, key: sessionKey(psk, cn, sn), peer: "server"}, nil
+	return &Session{rw: rw, key: sessionKey(psk, cn, sn)}, nil
 }
 
 // Accept performs the server side of the handshake, authenticating the
@@ -163,7 +156,7 @@ func Accept(rw io.ReadWriter, keys Keystore, nonce Nonce) (*Session, error) {
 	if !hmac.Equal(cliProof, mac(psk, []byte("cli"), sn, cn)) {
 		return nil, fmt.Errorf("%w: client proof invalid for %q", ErrAuth, hostID)
 	}
-	return &Session{rw: rw, key: sessionKey(psk, cn, sn), peer: string(hostID)}, nil
+	return &Session{rw: rw, key: sessionKey(psk, cn, sn)}, nil
 }
 
 // Send transmits one frame of the given application type.
@@ -261,10 +254,4 @@ func CounterNonce(label string) Nonce {
 		sum := sha256.Sum256(append([]byte(label), b[:]...))
 		return sum[:], nil
 	}
-}
-
-// VerifyKeyEquality is a constant-time key comparison helper for tests and
-// key-management tooling.
-func VerifyKeyEquality(a, b []byte) bool {
-	return len(a) == len(b) && bytes.Equal(mac(a, []byte("eq")), mac(b, []byte("eq")))
 }

@@ -20,11 +20,6 @@ var (
 	fbzBlockMagic = []byte{0x31, 0x41, 0x59, 0x26, 0x53, 0x59} // pi digits, like bzip2's block magic
 )
 
-// DefaultBlockSize is the uncompressed bytes per compression block,
-// matching bzip2's -9 block size of 900 kB. The paper's archive had 396
-// such blocks.
-const DefaultBlockSize = 900 * 1000
-
 // ErrNotFBZ reports a stream without the FBZ file magic.
 var ErrNotFBZ = errors.New("workload: not an FBZ archive")
 
@@ -143,19 +138,6 @@ func writeFBZBlock(w io.Writer, fw *flate.Writer, block *bytes.Buffer, chunk []b
 	return err
 }
 
-// DecompressFBZ expands an FBZ stream, verifying every block checksum.
-// Each block is written as soon as it has been verified, so a corrupt
-// block ends the output after the good blocks before it.
-func DecompressFBZ(w io.Writer, r io.Reader) error {
-	return scanFBZ(r, func(b BlockInfo, data []byte) error {
-		if !b.OK {
-			return fmt.Errorf("workload: block %d corrupt: %s", b.Index, b.Err)
-		}
-		_, err := w.Write(data)
-		return err
-	})
-}
-
 // BlockInfo is the result of scanning one FBZ block, in the spirit of
 // bzip2recover: each block is independently decodable and verifiable.
 type BlockInfo struct {
@@ -164,24 +146,6 @@ type BlockInfo struct {
 	OK bool
 	// Err describes the failure for bad blocks.
 	Err string
-	// Data is the recovered content of good blocks (nil for bad ones).
-	Data []byte
-}
-
-// ScanFBZ walks an FBZ stream block by block, attempting to recover each.
-// A corrupted block is reported but does not stop the scan — this is the
-// tool the reproduction of §4.2.2 uses to show that exactly one block of
-// 396 was damaged.
-func ScanFBZ(r io.Reader) ([]BlockInfo, error) {
-	var out []BlockInfo
-	err := scanFBZ(r, func(b BlockInfo, data []byte) error {
-		if b.OK {
-			b.Data = bytes.Clone(data)
-		}
-		out = append(out, b)
-		return nil
-	})
-	return out, err
 }
 
 // fbzScanner is the decode state scanFBZ reuses across blocks: one
@@ -198,8 +162,11 @@ type fbzScanner struct {
 }
 
 // scanFBZ walks an FBZ stream and calls visit once per block, stopping at
-// the first error visit returns. Info.Data is left nil; data holds the
-// content of a good block and is valid only until visit returns.
+// the first error visit returns. data holds the content of a good block
+// and is valid only until visit returns. A corrupted block is reported but
+// does not stop the scan — this is the bzip2recover-style tool the
+// reproduction of §4.2.2 uses to show that exactly one block of 396 was
+// damaged.
 func scanFBZ(r io.Reader, visit func(info BlockInfo, data []byte) error) error {
 	s := &fbzScanner{}
 	magic := s.hdr[:len(fbzFileMagic)]

@@ -13,13 +13,6 @@ import (
 // synthetic load every 10 minutes."
 const CyclePeriod = 10 * time.Minute
 
-// MaxStartFuzz bounds the §3.5 desynchronisation sleep: "each host sleeps
-// for 0 to 119 seconds before commencing the archival process".
-const MaxStartFuzz = 119 * time.Second
-
-// PageSize is the memory page size used for the §4.2.2 accounting.
-const PageSize = 4096
-
 // CycleResult records one synthetic load run on one host.
 type CycleResult struct {
 	HostID string
@@ -36,17 +29,15 @@ type CycleResult struct {
 	Blocks int
 }
 
-// Runner executes the synthetic load for one host. It owns the host's
-// source tree and the reference digest "calculated before installation".
+// Runner executes the synthetic load for one host. It holds the host's
+// pristine archive and the reference digest "calculated before
+// installation".
 type Runner struct {
-	hostID    string
-	tree      *SourceTree
-	blockSize int
-	rng       *simkernel.RNG
+	hostID string
+	rng    *simkernel.RNG
 
 	reference Digest
 	refBlocks int
-	pages     int64
 
 	// archive and archiveRes cache the initial pack. The source tree is
 	// immutable and Pack is deterministic, so every later cycle would
@@ -58,17 +49,13 @@ type Runner struct {
 	// names.
 	blockStream string
 	bitStream   string
-
-	results []CycleResult
-	// storedArchives keeps the failing tarballs, as §3.5 prescribes.
-	storedArchives map[string][]byte
 }
 
-// PackCache shares generated source trees and their pristine archives
-// between runners with the same tree seed and geometry. Basement twins run
-// their tent partner's disk image, so within one experiment the same tree
-// would otherwise be generated and compressed twice. Not concurrent-safe:
-// each experiment (campaign replicate) owns its own cache.
+// PackCache shares pristine archives between runners with the same tree
+// seed and geometry. Basement twins run their tent partner's disk image,
+// so within one experiment the same tree would otherwise be generated and
+// compressed twice. Not concurrent-safe: each experiment (campaign
+// replicate) owns its own cache.
 type PackCache struct {
 	entries map[packKey]*packEntry
 }
@@ -81,7 +68,6 @@ type packKey struct {
 }
 
 type packEntry struct {
-	tree    *SourceTree
 	archive []byte
 	res     ArchiveResult
 }
@@ -107,22 +93,18 @@ func (c *PackCache) NewRunner(hostID string, treeSeed string, files int, treeByt
 		if err != nil {
 			return nil, fmt.Errorf("workload: initial pack for %s: %w", hostID, err)
 		}
-		ent = &packEntry{tree: tree, archive: archive, res: res}
+		ent = &packEntry{archive: archive, res: res}
 		c.entries[key] = ent
 	}
 	return &Runner{
-		hostID:         hostID,
-		tree:           ent.tree,
-		blockSize:      blockSize,
-		rng:            rng,
-		reference:      ent.res.MD5,
-		refBlocks:      ent.res.Blocks,
-		pages:          PagesTouched(ent.res),
-		archive:        ent.archive,
-		archiveRes:     ent.res,
-		blockStream:    "workload/" + hostID + "/block",
-		bitStream:      "workload/" + hostID + "/bit",
-		storedArchives: make(map[string][]byte),
+		hostID:      hostID,
+		rng:         rng,
+		reference:   ent.res.MD5,
+		refBlocks:   ent.res.Blocks,
+		archive:     ent.archive,
+		archiveRes:  ent.res,
+		blockStream: "workload/" + hostID + "/block",
+		bitStream:   "workload/" + hostID + "/bit",
 	}, nil
 }
 
@@ -137,25 +119,10 @@ func (r *Runner) Reference() Digest { return r.reference }
 // ReferenceBlocks returns the block count of a clean archive.
 func (r *Runner) ReferenceBlocks() int { return r.refBlocks }
 
-// PagesPerCycle returns the §4.2.2-style memory page traffic of one cycle.
-func (r *Runner) PagesPerCycle() int64 { return r.pages }
-
-// PagesTouched estimates memory pages read and written by one archival
-// cycle the way §4.2.2 does: source bytes are read, the tar stream is
-// written and re-read by the compressor, the archive is written and then
-// re-read by the hash.
-func PagesTouched(res ArchiveResult) int64 {
-	traffic := res.TarBytes + // reading sources / writing tar
-		res.TarBytes + // compressor reading tar
-		res.CompressedBytes + // writing archive
-		res.CompressedBytes // md5 reading archive
-	return (traffic + PageSize - 1) / PageSize
-}
-
 // RunCycle executes one load cycle at the given simulated time. If corrupt
 // is true, a single bit of one compression block is flipped before hashing
-// — the memory-error mechanism §4.2.2 conjectures. The failing archive is
-// stored and scanned for bad blocks.
+// — the memory-error mechanism §4.2.2 conjectures. A failing archive is
+// scanned for bad blocks.
 func (r *Runner) RunCycle(now time.Time, corrupt bool) (CycleResult, error) {
 	// The clean pack is cached from installation (the tree never changes);
 	// a corrupting cycle flips a bit in its own copy.
@@ -178,10 +145,7 @@ func (r *Runner) RunCycle(now time.Time, corrupt bool) (CycleResult, error) {
 		Blocks: res.Blocks,
 	}
 	if !out.OK {
-		// "If the results differ, the packed tarball is stored."
-		key := now.UTC().Format(time.RFC3339)
-		r.storedArchives[key] = archive
-		// bzip2recover-style forensics on the stored archive.
+		// bzip2recover-style forensics on the failing archive.
 		err := scanFBZ(bytes.NewReader(archive), func(b BlockInfo, _ []byte) error {
 			if !b.OK {
 				out.BadBlocks = append(out.BadBlocks, b.Index)
@@ -192,25 +156,7 @@ func (r *Runner) RunCycle(now time.Time, corrupt bool) (CycleResult, error) {
 			return CycleResult{}, err
 		}
 	}
-	r.results = append(r.results, out)
 	return out, nil
-}
-
-// Results returns all recorded cycle results.
-func (r *Runner) Results() []CycleResult {
-	out := make([]CycleResult, len(r.results))
-	copy(out, r.results)
-	return out
-}
-
-// StoredArchives returns the failing archives kept for inspection, keyed
-// by RFC 3339 cycle time.
-func (r *Runner) StoredArchives() map[string][]byte {
-	out := make(map[string][]byte, len(r.storedArchives))
-	for k, v := range r.storedArchives {
-		out[k] = v
-	}
-	return out
 }
 
 // StartFuzz returns a scheduler fuzz function drawing the paper's 0–119 s

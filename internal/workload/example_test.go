@@ -1,35 +1,26 @@
 package workload_test
 
 import (
-	"bytes"
-	"crypto/md5"
 	"fmt"
+	"time"
 
+	"frostlab/internal/simkernel"
 	"frostlab/internal/workload"
 )
 
-// The full §3.5 pipeline, then the §4.2.2 forensics: corrupt one bit,
-// watch the hash change, and find the single damaged block the way the
-// paper used bzip2recover.
+// The full §3.5 pipeline, then the §4.2.2 forensics: a host's cycle
+// corrupts one bit, the hash changes, and the bzip2recover-style scan finds
+// the single damaged block.
 func ExamplePack() {
 	tree, _ := workload.GenerateTree("kernel-2.6", 20, 64<<10)
-	archive, res, _ := workload.Pack(tree, 8<<10)
+	_, res, _ := workload.Pack(tree, 8<<10)
 	fmt.Printf("packed %d files into %d compression blocks\n", tree.NumFiles(), res.Blocks)
 
-	clean := res.MD5
-	_ = workload.CorruptBit(archive, 2, func(n int) int { return n / 2 })
-	blocks, _ := workload.ScanFBZ(bytes.NewReader(archive))
-	bad := 0
-	for _, b := range blocks {
-		if !b.OK {
-			bad++
-		}
-	}
+	runner, _ := workload.NewRunner("01", "kernel-2.6", 20, 64<<10, 8<<10, simkernel.NewRNG("example"))
+	cycle, _ := runner.RunCycle(time.Date(2010, time.February, 19, 0, 0, 0, 0, time.UTC), true)
 	fmt.Printf("after one flipped bit: hash still %v, %d of %d blocks corrupt\n",
-		clean == md5Of(archive), bad, len(blocks))
+		cycle.OK, len(cycle.BadBlocks), cycle.Blocks)
 	// Output:
 	// packed 20 files into 11 compression blocks
 	// after one flipped bit: hash still false, 1 of 11 blocks corrupt
 }
-
-func md5Of(p []byte) workload.Digest { return workload.Digest(md5.Sum(p)) }

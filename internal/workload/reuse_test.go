@@ -16,13 +16,30 @@ import (
 // entries at random and allocation counts stop being repeatable.
 var raceEnabled bool
 
+// scannedBlock is one block a scan reported, with a copy of the content of
+// a good block (nil for bad ones).
+type scannedBlock struct {
+	BlockInfo
+	Data []byte
+}
+
+// scanAll runs scanFBZ over the stream and keeps every block it reports.
+func scanAll(r io.Reader) ([]scannedBlock, error) {
+	var out []scannedBlock
+	err := scanFBZ(r, func(b BlockInfo, data []byte) error {
+		out = append(out, scannedBlock{b, bytes.Clone(data)})
+		return nil
+	})
+	return out, err
+}
+
 // scanFBZStraight is the forensic scan written straight through, with a
 // fresh DEFLATE reader and fresh buffers for every block. It is the
 // reference the reusing scan must match. The one departure from a plain
 // make-then-io.ReadFull of the payload is for payloads longer than what is
 // left of the stream: it reports what io.ReadFull reports on a short
 // bytes.Reader without first allocating the claimed length.
-func scanFBZStraight(br *bytes.Reader) ([]BlockInfo, error) {
+func scanFBZStraight(br *bytes.Reader) ([]scannedBlock, error) {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("workload: reading file magic: %w", err)
@@ -30,7 +47,7 @@ func scanFBZStraight(br *bytes.Reader) ([]BlockInfo, error) {
 	if !bytes.Equal(magic, fbzFileMagic) {
 		return nil, ErrNotFBZ
 	}
-	var out []BlockInfo
+	var out []scannedBlock
 	for i := 0; ; i++ {
 		var hdr [18]byte
 		_, err := io.ReadFull(br, hdr[:])
@@ -40,7 +57,7 @@ func scanFBZStraight(br *bytes.Reader) ([]BlockInfo, error) {
 		if err != nil {
 			return out, fmt.Errorf("workload: block %d header: %w", i, err)
 		}
-		info := BlockInfo{Index: i}
+		info := scannedBlock{BlockInfo: BlockInfo{Index: i}}
 		if !bytes.Equal(hdr[:6], fbzBlockMagic) {
 			info.Err = "block magic missing"
 			out = append(out, info)
@@ -81,7 +98,7 @@ func scanFBZStraight(br *bytes.Reader) ([]BlockInfo, error) {
 }
 
 // sameScan reports the first difference between two scan results.
-func sameScan(got []BlockInfo, gotErr error, want []BlockInfo, wantErr error) error {
+func sameScan(got []scannedBlock, gotErr error, want []scannedBlock, wantErr error) error {
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		return fmt.Errorf("error %v, want %v", gotErr, wantErr)
 	}
@@ -119,7 +136,7 @@ func TestScanFBZMatchesStraightLine(t *testing.T) {
 		if bit >= 0 {
 			flipped[bit/8] ^= 1 << (bit % 8)
 		}
-		got, gotErr := ScanFBZ(bytes.NewReader(flipped))
+		got, gotErr := scanAll(bytes.NewReader(flipped))
 		want, wantErr := scanFBZStraight(bytes.NewReader(flipped))
 		if err := sameScan(got, gotErr, want, wantErr); err != nil {
 			t.Fatalf("bit %d flipped: %v", bit, err)
@@ -138,7 +155,7 @@ var packGeometries = []struct {
 }{
 	{"kernel-2.6", 40, 256 << 10, 8 << 10, "fd65418df9ab864617d439fb30fea4d3"},
 	{"geom-b", 7, 100_000, 1000, "541d96b365aeb8b89ef8a135abb31398"},
-	{"geom-c", 64, 1 << 20, DefaultBlockSize, "3fe9c47a13208029c15a1c8bfea17250"},
+	{"geom-c", 64, 1 << 20, bzip2BlockSize, "3fe9c47a13208029c15a1c8bfea17250"},
 }
 
 // packGeometry packs geometry i and reports a digest that differs from the
@@ -212,7 +229,7 @@ func TestScanFBZHugeCompLen(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	blocks, err := ScanFBZ(bytes.NewReader(stream))
+	blocks, err := scanAll(bytes.NewReader(stream))
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -222,9 +239,6 @@ func TestScanFBZHugeCompLen(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
 		t.Errorf("scan allocated %d bytes for a 24-byte stream, want under 1 MB", alloc)
-	}
-	if err := DecompressFBZ(io.Discard, bytes.NewReader(stream)); err == nil {
-		t.Error("DecompressFBZ accepted a truncated stream")
 	}
 }
 

@@ -67,7 +67,7 @@ func TestAnyBitFlipDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := ScanFBZ(bytes.NewReader(archive))
+	clean, err := scanAll(bytes.NewReader(archive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestAnyBitFlipDetected(t *testing.T) {
 		}); err != nil {
 			return false
 		}
-		blocks, err := ScanFBZ(bytes.NewReader(corrupted))
+		blocks, err := scanAll(bytes.NewReader(corrupted))
 		if err != nil {
 			return false
 		}
@@ -117,7 +117,7 @@ func TestFBZGoodBlocksRecoverable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanBlocks, err := ScanFBZ(bytes.NewReader(archive))
+	cleanBlocks, err := scanAll(bytes.NewReader(archive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFBZGoodBlocksRecoverable(t *testing.T) {
 	if err := CorruptBit(archive, target, func(n int) int { return n / 2 }); err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := ScanFBZ(bytes.NewReader(archive))
+	blocks, err := scanAll(bytes.NewReader(archive))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func benchSharded(b *testing.B, tents, hostsPerTent int, instrument bool) {
 		if i == 0 {
 			logOnce(b, fmt.Sprintf("sharded-%dx%d-%v", tents, hostsPerTent, instrument),
 				fmt.Sprintf("%d hosts in %d tents, %d shards: tent failure rate %v, %d events, %.0f kWh",
-					hosts, e.Tents(), e.Shards(), r.TentHostFailureRate, len(r.Events), float64(r.TentEnergy)))
+					hosts, tents, e.Shards(), r.TentHostFailureRate, len(r.Events), float64(r.TentEnergy)))
 		}
 	}
 	reportPerHostHour(b, hosts, cfg)
