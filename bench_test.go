@@ -67,9 +67,8 @@ func firstLines(s string, n int) string {
 }
 
 // reportPerHostHour normalises a run benchmark to ns per simulated
-// host-hour, the cross-fleet-size figure of merit the scale work is gated
-// on (BENCH_SHARD.json): a 19-host classic run and a 10k-host sharded run
-// land on the same axis.
+// host-hour, the cross-fleet-size figure of merit of the scale work: a
+// 19-host classic run and a 10k-host sharded run land on the same axis.
 func reportPerHostHour(b *testing.B, hosts int, cfg core.Config) {
 	b.Helper()
 	hours := cfg.End.Sub(cfg.Start).Hours()
@@ -103,8 +102,8 @@ func BenchmarkReferenceRun(b *testing.B) {
 
 // BenchmarkReferenceRunInstrumented is the telemetry-overhead benchmark:
 // the identical reference run with a live metrics registry and a span
-// tracer attached, plus one end-of-run scrape. The committed contract is
-// that this stays within 5% of BenchmarkReferenceRun — the instruments
+// tracer attached, plus one end-of-run scrape. TestTelemetryOverheadGate
+// holds this within 5% of BenchmarkReferenceRun — the instruments
 // are scrape-time views over counters the experiment already maintains,
 // so the hot path gains no allocations (see core.TestFailureTickAllocs).
 func BenchmarkReferenceRunInstrumented(b *testing.B) {
@@ -163,7 +162,7 @@ func BenchmarkControlledRun(b *testing.B) {
 }
 
 // BenchmarkControlledRunInstrumented adds the live metrics registry and
-// span tracer to the closed-loop run. The CI overhead gate holds this
+// span tracer to the closed-loop run. TestControlOverheadGate holds this
 // within 5% of BenchmarkControlledRun: the controller gauges are
 // scrape-time views and the damper counter track writes into the tracer's
 // preallocated ring.

@@ -120,6 +120,14 @@ func run(args []string) error {
 	if *rounds < 0 {
 		return fmt.Errorf("-rounds must not be negative, got %d", *rounds)
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"retries", *retries}, {"ingest-queue", *ingestQueue}, {"max-inflight", *maxInflight}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v)
+		}
+	}
 
 	if *hostsFlag == "" {
 		return fmt.Errorf("-hosts is required")

@@ -95,17 +95,24 @@ func parseSchedule(s string) (map[string][]chaos.RoundRange, error) {
 	return out, nil
 }
 
-// runChaosStudy drives the E13 study; traceTo, when non-empty, records
-// the collection plane (round and per-host collect spans, wall time) as
-// Chrome trace-event JSON.
-func runChaosStudy(seed, downSpec, stalledSpec, traceTo string) error {
+// chaosRound is one E13 collection round: the fleet coverage and a note
+// for each host that failed or was skipped by its breaker.
+type chaosRound struct {
+	Coverage float64
+	Notes    []string
+}
+
+// chaosStudy runs the E13 study and returns its per-round rows and the
+// gap ledger's text. A non-nil tracer records the collection plane
+// (round and per-host collect spans, wall time).
+func chaosStudy(seed, downSpec, stalledSpec string, tracer *telemetry.Tracer) ([]chaosRound, string, error) {
 	down, err := parseSchedule(downSpec)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
 	stalled, err := parseSchedule(stalledSpec)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
 	inj, err := chaos.New(chaos.Spec{
 		Seed:       seed + "/chaos",
@@ -117,7 +124,7 @@ func runChaosStudy(seed, downSpec, stalledSpec, traceTo string) error {
 		Stalled:    stalled,
 	})
 	if err != nil {
-		return err
+		return nil, "", err
 	}
 
 	stores, cfg := inProcessFleet(seed, chaosHosts, inj)
@@ -129,39 +136,52 @@ func runChaosStudy(seed, downSpec, stalledSpec, traceTo string) error {
 	cfg.Retry.MaxAttempts = chaosRetries
 	cfg.Breaker = monitor.BreakerConfig{Trip: chaosTrip, Cooldown: chaosCooldown}
 	cfg.PhaseTimeout = 2 * time.Second
-	var tracer *telemetry.Tracer
-	if traceTo != "" {
-		tracer = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
-		cfg.Tracer = tracer
-	}
+	cfg.Tracer = tracer
 	fc, err := monitor.NewFleetCollector(monitor.NewCollector(0), cfg)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
 
-	fmt.Printf("E13 monitoring-outage study: %d hosts, %d rounds, seed %q\n", chaosHosts, chaosRounds, seed)
-	fmt.Printf("faults: refuse %.2f, stall %.2f, cut %.2f, corrupt %.2f; down %q; stalled %q\n\n",
-		chaosPRefuse, chaosPStall, chaosPCut, chaosPCorrupt, downSpec, stalledSpec)
+	rows := make([]chaosRound, chaosRounds)
 	at := time.Date(2010, time.February, 19, 12, 0, 0, 0, time.UTC)
-	for round := 1; round <= chaosRounds; round++ {
+	for i := range rows {
 		rep := fc.Round(context.Background(), at)
 		at = at.Add(20 * time.Minute)
-		var notes []string
+		rows[i].Coverage = rep.Coverage()
 		for _, h := range rep.Hosts {
 			switch h.Status {
 			case monitor.StatusFailed:
-				notes = append(notes, fmt.Sprintf("%s failed (%d attempts)", h.HostID, h.Attempts))
+				rows[i].Notes = append(rows[i].Notes, fmt.Sprintf("%s failed (%d attempts)", h.HostID, h.Attempts))
 			case monitor.StatusSkipped:
-				notes = append(notes, h.HostID+" skipped")
+				rows[i].Notes = append(rows[i].Notes, h.HostID+" skipped")
 			}
 		}
-		detail := ""
-		if len(notes) > 0 {
-			detail = ": " + strings.Join(notes, ", ")
-		}
-		fmt.Printf("round %2d: coverage %.4f%s\n", round, rep.Coverage(), detail)
 	}
-	fmt.Printf("\n%s", fc.Ledger().String())
+	return rows, fc.Ledger().String(), nil
+}
+
+// runChaosStudy prints the E13 study; traceTo, when non-empty, receives
+// the collection plane's Chrome trace-event JSON.
+func runChaosStudy(seed, downSpec, stalledSpec, traceTo string) error {
+	var tracer *telemetry.Tracer
+	if traceTo != "" {
+		tracer = telemetry.NewTracer(telemetry.DefaultTraceCapacity)
+	}
+	rows, ledger, err := chaosStudy(seed, downSpec, stalledSpec, tracer)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("E13 monitoring-outage study: %d hosts, %d rounds, seed %q\n", chaosHosts, chaosRounds, seed)
+	fmt.Printf("faults: refuse %.2f, stall %.2f, cut %.2f, corrupt %.2f; down %q; stalled %q\n\n",
+		chaosPRefuse, chaosPStall, chaosPCut, chaosPCorrupt, downSpec, stalledSpec)
+	for i, r := range rows {
+		detail := ""
+		if len(r.Notes) > 0 {
+			detail = ": " + strings.Join(r.Notes, ", ")
+		}
+		fmt.Printf("round %2d: coverage %.4f%s\n", i+1, r.Coverage, detail)
+	}
+	fmt.Printf("\n%s", ledger)
 	if tracer != nil {
 		if err := writeFile(traceTo, tracer.WriteChromeTrace); err != nil {
 			return err

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"strings"
 	"testing"
 
 	"frostlab/internal/core"
@@ -121,6 +122,68 @@ func TestControlStudyTable(t *testing.T) {
 			if got != tc.rows[i] || r.GuardTrips != 0 {
 				t.Errorf("%q row %d: %+v (guard trips %d), want %+v", tc.args, i, got, r.GuardTrips, tc.rows[i])
 			}
+		}
+	}
+}
+
+// TestChaosStudyTable pins the E13 table: the default run at the
+// reference seed, where retries absorb every injected fault, and the
+// EXPERIMENTS.md run with host 03 down for rounds 2-5 and host 07
+// stalled from round 4 on.
+func TestChaosStudyTable(t *testing.T) {
+	full := strings.Repeat("1.0000\n", 12)
+	for _, tc := range []struct {
+		seed, down, stalled string
+		rounds, ledger      string
+	}{
+		{core.ReferenceSeed, "", "", full, `gap ledger: 12 rounds, fleet coverage 1.0000
+  01: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+  02: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+  03: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+  04: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+  05: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+  06: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+  07: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+  08: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+  09: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+`},
+		{"winter0910", "03=2-5", "07=4-", `1.0000
+0.8889 03 failed (3 attempts)
+0.8889 03 failed (3 attempts)
+0.7778 03 skipped, 07 failed (3 attempts)
+0.7778 03 skipped, 07 failed (3 attempts)
+0.8889 07 skipped
+0.8889 07 skipped
+0.8889 07 failed (1 attempts)
+0.8889 07 skipped
+0.8889 07 skipped
+0.8889 07 failed (1 attempts)
+0.8889 07 skipped
+`, `gap ledger: 12 rounds, fleet coverage 0.8796
+  01: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+  02: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+  03: 8/12 collected (0.6667), 2 skipped, longest outage 4, missed [2 3 4 5]
+  04: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+  05: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+  06: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+  07: 3/12 collected (0.2500), 5 skipped, longest outage 9, missed [4 5 6 7 8 9 10 11 12]
+  08: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+  09: 12/12 collected (1.0000), 0 skipped, longest outage 0, missed []
+`},
+	} {
+		rows, ledger, err := chaosStudy(tc.seed, tc.down, tc.stalled, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, r := range rows {
+			sb.WriteString(strings.TrimSpace(fmt.Sprintf("%.4f %s", r.Coverage, strings.Join(r.Notes, ", "))) + "\n")
+		}
+		if got := sb.String(); got != tc.rounds {
+			t.Errorf("seed %q down %q stalled %q: rounds\n%s\nwant\n%s", tc.seed, tc.down, tc.stalled, got, tc.rounds)
+		}
+		if ledger != tc.ledger {
+			t.Errorf("seed %q down %q stalled %q: ledger\n%s\nwant\n%s", tc.seed, tc.down, tc.stalled, ledger, tc.ledger)
 		}
 	}
 }

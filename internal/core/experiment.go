@@ -626,12 +626,12 @@ func (e *Experiment) failureTick(now time.Time) error {
 				continue
 			}
 			d.Observe(e.cfg.FailureStep, temps.Disk)
-			ev, err := e.engine.StepDisk(now, e.cfg.FailureStep,
+			died, err := e.engine.StepDisk(e.cfg.FailureStep,
 				hs.diskIDs[i], temps.Disk, e.cfg.Disk)
 			if err != nil {
 				return err
 			}
-			if ev != nil {
+			if died {
 				d.Fail()
 				e.handleDiskFailure(now, hs, i)
 			}
@@ -647,11 +647,11 @@ func (e *Experiment) failureTick(now time.Time) error {
 			TempRatePerHour: tern(hs.host.Location == hardware.Tent && !hs.relocated, ratePerHour, 0),
 			Condensing:      units.CondensationRisk(ambient, rh, temps.CaseAir),
 		}
-		ev, err := e.engine.StepHost(now, e.cfg.FailureStep, hs.host.ID, stress)
+		failed, err := e.engine.StepHost(e.cfg.FailureStep, hs.host.ID, stress)
 		if err != nil {
 			return err
 		}
-		if ev != nil {
+		if failed {
 			e.handleTransient(now, hs)
 		}
 	}

@@ -27,7 +27,7 @@ type admission struct {
 }
 
 // WithAdmission bounds concurrent request handling at max in-flight
-// requests (values below 1 mean 1) and returns the server. Requests past
+// requests (max must be at least 1) and returns the server. Requests past
 // the watermark receive 503 with a Retry-After of retryAfter (rounded up
 // to whole seconds, minimum 1). /healthz bypasses the gate: liveness
 // must stay answerable precisely when the dashboard is shedding load,
@@ -36,9 +36,6 @@ type admission struct {
 // an operator needs to see what is firing, and the alert snapshot is a
 // small in-memory read that cannot compound the overload.
 func (s *Server) WithAdmission(max int, retryAfter time.Duration) *Server {
-	if max < 1 {
-		max = 1
-	}
 	s.adm = &admission{max: int64(max), retryAfter: retryAfter}
 	return s
 }

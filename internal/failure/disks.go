@@ -64,17 +64,16 @@ func (p DiskParams) HazardPerHour(temp units.Celsius) float64 {
 }
 
 // StepDisk advances one drive by dt at the given platter temperature and
-// returns a Hard failure event if the drive died. diskID should be unique
-// per drive (e.g. "01/2").
-func (e *Engine) StepDisk(now time.Time, dt time.Duration, diskID string, temp units.Celsius, p DiskParams) (*Event, error) {
+// reports whether the drive died. diskID should be unique per drive
+// (e.g. "01/2").
+func (e *Engine) StepDisk(dt time.Duration, diskID string, temp units.Celsius, p DiskParams) (bool, error) {
 	if dt <= 0 {
-		return nil, fmt.Errorf("failure: non-positive disk step %v", dt)
+		return false, fmt.Errorf("failure: non-positive disk step %v", dt)
 	}
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return false, err
 	}
-	h := p.HazardPerHour(temp)
-	pFail := 1 - expNeg(h*dt.Hours())
+	pFail := 1 - expNeg(p.HazardPerHour(temp)*dt.Hours())
 	// Intern the stream name once per drive: StepDisk runs for every disk
 	// on every failure tick, and the name is stable for the drive's life.
 	stream, ok := e.diskStreams[diskID]
@@ -82,15 +81,5 @@ func (e *Engine) StepDisk(now time.Time, dt time.Duration, diskID string, temp u
 		stream = "disk/" + diskID
 		e.diskStreams[diskID] = stream
 	}
-	if !e.rng.Bernoulli(stream, pFail) {
-		return nil, nil
-	}
-	ev := Event{
-		At:        now,
-		SubjectID: diskID,
-		Component: DiskDrive,
-		Kind:      Hard,
-		Detail:    fmt.Sprintf("drive failure at %v (hazard %.2e/h)", temp, h),
-	}
-	return &ev, nil
+	return e.rng.Bernoulli(stream, pFail), nil
 }

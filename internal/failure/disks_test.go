@@ -21,12 +21,12 @@ func TestDiskParamsValidation(t *testing.T) {
 
 func TestStepDiskValidation(t *testing.T) {
 	e := newEngine(t, "disk-validate")
-	if _, err := e.StepDisk(t0, 0, "01/0", 30, DefaultDiskParams()); err == nil {
+	if _, err := e.StepDisk(0, "01/0", 30, DefaultDiskParams()); err == nil {
 		t.Error("zero step accepted")
 	}
 	bad := DefaultDiskParams()
 	bad.HotPerDegree = -1
-	if _, err := e.StepDisk(t0, time.Hour, "01/0", 30, bad); err == nil {
+	if _, err := e.StepDisk(time.Hour, "01/0", 30, bad); err == nil {
 		t.Error("invalid params accepted")
 	}
 }
@@ -40,11 +40,11 @@ func TestDisksRarelyDieInThreeMonths(t *testing.T) {
 	for d := 0; d < 42; d++ { // the fleet's ~42 drives
 		id := fmt.Sprintf("h/%d", d)
 		for at := t0; at.Before(t0.AddDate(0, 3, 0)); at = at.Add(time.Hour) {
-			ev, err := e.StepDisk(at, time.Hour, id, 30, p)
+			died, err := e.StepDisk(time.Hour, id, 30, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ev != nil {
+			if died {
 				deaths++
 				break
 			}
@@ -73,27 +73,28 @@ func TestHotDrivesDieFaster(t *testing.T) {
 }
 
 func TestStepDiskLogsHardFailure(t *testing.T) {
-	// Inflate the hazard so a death happens promptly, then check the event.
+	// Inflate the hazard so a death happens promptly, then check that it
+	// was drawn from the drive's own "disk/<id>" stream: a bare RNG on
+	// the same seed, drawing that stream at the same probability, must
+	// see the death on the same hour.
 	e := newEngine(t, "disk-log")
 	p := DefaultDiskParams()
 	p.BasePerHour = 0.5
-	var got *Event
-	for at := t0; at.Before(t0.Add(100 * time.Hour)); at = at.Add(time.Hour) {
-		ev, err := e.StepDisk(at, time.Hour, "15/0", 35, p)
+	rng := simkernel.NewRNG("disk-log")
+	pFail := 1 - expNeg(p.HazardPerHour(35))
+	for hour := 0; hour < 100; hour++ {
+		died, err := e.StepDisk(time.Hour, "15/0", 35, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev != nil {
-			got = ev
-			break
+		if want := rng.Bernoulli("disk/15/0", pFail); died != want {
+			t.Fatalf("hour %d: StepDisk died=%v, disk/15/0 stream says %v", hour, died, want)
+		}
+		if died {
+			return
 		}
 	}
-	if got == nil {
-		t.Fatal("no death at 0.5/h hazard over 100h")
-	}
-	if got.Kind != Hard || got.Component != DiskDrive || got.SubjectID != "15/0" {
-		t.Errorf("event %+v, want hard disk failure of 15/0", got)
-	}
+	t.Fatal("no death at 0.5/h hazard over 100h")
 }
 
 func TestStepDiskDeterministic(t *testing.T) {
@@ -105,8 +106,8 @@ func TestStepDiskDeterministic(t *testing.T) {
 		p := DefaultDiskParams()
 		p.BasePerHour = 0.05
 		n := 0
-		for at := t0; at.Before(t0.Add(200 * time.Hour)); at = at.Add(time.Hour) {
-			if ev, _ := e.StepDisk(at, time.Hour, "x/0", 30, p); ev != nil {
+		for hour := 0; hour < 200; hour++ {
+			if died, _ := e.StepDisk(time.Hour, "x/0", 30, p); died {
 				n++
 			}
 		}

@@ -25,36 +25,6 @@ import (
 	"frostlab/internal/units"
 )
 
-// Kind classifies a failure event.
-type Kind int
-
-// Failure kinds.
-const (
-	// Transient: the system crashed or hung but recovers after a reset —
-	// both host-15 incidents were initially of this kind.
-	Transient Kind = iota
-	// Hard: the component is dead and needs replacement.
-	Hard
-)
-
-// Component identifies what failed.
-type Component string
-
-// Components tracked by the engine.
-const (
-	System    Component = "system" // whole-host crash/hang, cause unidentified
-	DiskDrive Component = "disk"
-)
-
-// Event is one sampled failure.
-type Event struct {
-	At        time.Time
-	SubjectID string // host or drive ID
-	Component Component
-	Kind      Kind
-	Detail    string
-}
-
 // Stress is the environmental input to the hazard model for one host and
 // one step.
 type Stress struct {
@@ -254,30 +224,19 @@ func (e *Engine) hazardPerHour(rec *hostRec, s Stress) float64 {
 	return e.params.TransientHazardPerHour(rec.weak, s)
 }
 
-// StepHost advances one host by dt under the given stress and returns the
-// transient system failure event, if one occurred. The caller decides what
-// a failure does (crash, reset, relocation); the engine only samples it.
-func (e *Engine) StepHost(now time.Time, dt time.Duration, hostID string, s Stress) (*Event, error) {
+// StepHost advances one host by dt under the given stress and reports
+// whether a transient system failure occurred. The caller decides what a
+// failure does (crash, reset, relocation); the engine only samples it.
+func (e *Engine) StepHost(dt time.Duration, hostID string, s Stress) (bool, error) {
 	rec, ok := e.hosts[hostID]
 	if !ok {
-		return nil, fmt.Errorf("failure: host %q not registered", hostID)
+		return false, fmt.Errorf("failure: host %q not registered", hostID)
 	}
 	if dt <= 0 {
-		return nil, fmt.Errorf("failure: non-positive step %v", dt)
+		return false, fmt.Errorf("failure: non-positive step %v", dt)
 	}
-	h := e.hazardPerHour(rec, s)
-	pFail := 1 - expNeg(h*dt.Hours())
-	if !e.rng.Bernoulli(rec.sysStream, pFail) {
-		return nil, nil
-	}
-	ev := Event{
-		At:        now,
-		SubjectID: hostID,
-		Component: System,
-		Kind:      Transient,
-		Detail:    fmt.Sprintf("system failure (hazard %.2e/h, ambient %v, case %v)", h, s.Ambient, s.CaseAir),
-	}
-	return &ev, nil
+	pFail := 1 - expNeg(e.hazardPerHour(rec, s)*dt.Hours())
+	return e.rng.Bernoulli(rec.sysStream, pFail), nil
 }
 
 // RegisterSwitch draws the lifetime of a network switch. Whining units use

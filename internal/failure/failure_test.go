@@ -50,14 +50,14 @@ func TestParamsValidation(t *testing.T) {
 
 func TestStepRequiresRegistration(t *testing.T) {
 	e := newEngine(t, "reg")
-	if _, err := e.StepHost(t0, time.Hour, "ghost", benign); err == nil {
+	if _, err := e.StepHost(time.Hour, "ghost", benign); err == nil {
 		t.Error("unregistered host accepted")
 	}
 	e.RegisterHost("01", false)
-	if _, err := e.StepHost(t0, time.Hour, "01", benign); err != nil {
+	if _, err := e.StepHost(time.Hour, "01", benign); err != nil {
 		t.Errorf("registered host rejected: %v", err)
 	}
-	if _, err := e.StepHost(t0, 0, "01", benign); err == nil {
+	if _, err := e.StepHost(0, "01", benign); err == nil {
 		t.Error("zero step accepted")
 	}
 }
@@ -104,11 +104,11 @@ func monthsOfOperation(t *testing.T, e *Engine, hostID string, d time.Duration, 
 	t.Helper()
 	n := 0
 	for at, step := t0, time.Hour; at.Before(t0.Add(d)); at = at.Add(step) {
-		ev, err := e.StepHost(at, step, hostID, s)
+		failed, err := e.StepHost(step, hostID, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev != nil {
+		if failed {
 			n++
 		}
 	}
@@ -303,25 +303,25 @@ func TestPowOneMinus(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	run := func() []Event {
+	run := func() []int {
 		e := newEngine(t, "det")
 		e.RegisterHost("15", true)
 		e.hosts["15"].weak = true
-		var evs []Event
-		for at := t0; at.Before(t0.AddDate(0, 1, 0)); at = at.Add(time.Hour) {
-			if ev, _ := e.StepHost(at, time.Hour, "15", benign); ev != nil {
-				evs = append(evs, *ev)
+		var hours []int
+		for hour := 0; hour < 28*24; hour++ {
+			if failed, _ := e.StepHost(time.Hour, "15", benign); failed {
+				hours = append(hours, hour)
 			}
 		}
-		return evs
+		return hours
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
-		t.Fatalf("runs differ: %d vs %d events", len(a), len(b))
+		t.Fatalf("runs differ: %d vs %d failures", len(a), len(b))
 	}
 	for i := range a {
-		if !a[i].At.Equal(b[i].At) {
-			t.Fatalf("event %d at %v vs %v", i, a[i].At, b[i].At)
+		if a[i] != b[i] {
+			t.Fatalf("failure %d at hour %d vs %d", i, a[i], b[i])
 		}
 	}
 }
@@ -333,7 +333,7 @@ func BenchmarkStepHost(b *testing.B) {
 	}
 	e.RegisterHost("01", false)
 	for i := 0; i < b.N; i++ {
-		_, _ = e.StepHost(t0.Add(time.Duration(i)*time.Minute), time.Minute, "01", benign)
+		_, _ = e.StepHost(time.Minute, "01", benign)
 	}
 }
 

@@ -77,7 +77,8 @@ type GoroutinesReport struct {
 	After  int `json:"after"`
 }
 
-// Report is the full run result, serialised as BENCH_SERVE.json.
+// Report is the full run result, serialised to frostctl's -serve-out
+// file.
 type Report struct {
 	Seed        string           `json:"seed"`
 	Agents      int              `json:"agents"`

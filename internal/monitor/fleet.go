@@ -121,6 +121,9 @@ func NewFleetCollector(coll *Collector, cfg FleetConfig) (*FleetCollector, error
 	if cfg.KeyFor == nil {
 		return nil, fmt.Errorf("monitor: FleetConfig.KeyFor is required")
 	}
+	if cfg.Retry.MaxAttempts < 1 {
+		return nil, fmt.Errorf("monitor: Retry.MaxAttempts must be at least 1, got %d", cfg.Retry.MaxAttempts)
+	}
 	cfg.Hosts = append([]string(nil), cfg.Hosts...)
 	sort.Strings(cfg.Hosts)
 	if cfg.Jitter == nil {
@@ -254,7 +257,7 @@ func (fc *FleetCollector) collectHost(ctx context.Context, hostID string, round 
 		out.Breaker = br.State().String()
 		return out
 	}
-	maxAttempts := fc.cfg.Retry.attempts()
+	maxAttempts := fc.cfg.Retry.MaxAttempts
 	if probe {
 		maxAttempts = 1
 	}

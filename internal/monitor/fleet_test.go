@@ -249,4 +249,9 @@ func TestNewFleetCollectorValidation(t *testing.T) {
 	if _, err := NewFleetCollector(NewCollector(0), bad); err == nil {
 		t.Error("nil KeyFor accepted")
 	}
+	bad = good
+	bad.Retry.MaxAttempts = 0
+	if _, err := NewFleetCollector(NewCollector(0), bad); err == nil {
+		t.Error("zero MaxAttempts accepted")
+	}
 }

@@ -49,12 +49,9 @@ type IngestQueue struct {
 	done   chan struct{}
 }
 
-// NewIngestQueue starts a queue holding at most capacity pending jobs
-// (values below 1 mean 1). Close it to stop the worker.
+// NewIngestQueue starts a queue holding at most capacity pending jobs;
+// capacity must be at least 1. Close it to stop the worker.
 func NewIngestQueue(capacity int) *IngestQueue {
-	if capacity < 1 {
-		capacity = 1
-	}
 	q := &IngestQueue{cap: capacity, done: make(chan struct{})}
 	q.cond = sync.NewCond(&q.mu)
 	go q.run()

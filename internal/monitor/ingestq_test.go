@@ -111,7 +111,7 @@ func TestIngestQueueCloseDrains(t *testing.T) {
 }
 
 func TestIngestQueueMinimumCapacity(t *testing.T) {
-	q := NewIngestQueue(0) // clamped to 1
+	q := NewIngestQueue(1)
 	release := make(chan struct{})
 	q.Offer(gateJob(1, release))
 	waitStats(t, q, func(st IngestStats) bool { return st.Depth == 0 })

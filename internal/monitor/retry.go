@@ -15,7 +15,8 @@ import (
 // the hardened collector retries with exponential backoff before giving a
 // round up on a host, so a transient network blip does not become a gap.
 type RetryPolicy struct {
-	// MaxAttempts caps tries per host per round; values below 1 mean 1.
+	// MaxAttempts caps tries per host per round; NewFleetCollector
+	// rejects values below 1.
 	MaxAttempts int
 	// BaseBackoff is the pause before the second attempt.
 	BaseBackoff time.Duration
@@ -28,14 +29,6 @@ type RetryPolicy struct {
 	// Where the draw comes from is the caller's choice — FleetConfig.Jitter
 	// supplies a deterministic source so chaos runs replay bit-identically.
 	JitterFrac float64
-}
-
-// attempts returns the effective attempt cap.
-func (rp RetryPolicy) attempts() int {
-	if rp.MaxAttempts < 1 {
-		return 1
-	}
-	return rp.MaxAttempts
 }
 
 // Backoff returns the pause after the given failed attempt (1-based), with

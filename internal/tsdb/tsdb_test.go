@@ -322,6 +322,17 @@ func TestHeadAppendAllocs(t *testing.T) {
 	}
 }
 
+func TestCompressionRatio(t *testing.T) {
+	// The storage gate: the sensor-shaped corpus compresses at least 6x
+	// against raw 16-byte (timestamp, value) samples.
+	corpus := sensorCorpus(1 << 14)
+	ratio := float64(16*len(corpus)) / float64(encodedBytes(corpus))
+	if ratio < 6 {
+		t.Fatalf("compression %.2fx vs raw 16-byte samples, want at least 6x", ratio)
+	}
+	t.Logf("compression %.2fx vs raw 16-byte samples", ratio)
+}
+
 func TestIterCorruptBlockStops(t *testing.T) {
 	// A block whose count claims more samples than its bytes hold must
 	// stop with ErrCorrupt, not fabricate data.

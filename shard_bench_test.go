@@ -55,16 +55,16 @@ func benchSharded(b *testing.B, tents, hostsPerTent int, instrument bool) {
 
 // BenchmarkShardedFleet10k is the scale headline: a 10 080-host winter
 // (112 tents × 90 hosts, 35 simulated days) through the struct-of-arrays
-// sharded engine. The committed CI gate (BENCH_SHARD.json) holds this
-// under the 19-host classic BenchmarkReferenceRun's wall-clock — a
-// >500× improvement in ns/host-hour.
+// sharded engine. TestShardedScaleGate holds this under the 19-host
+// classic BenchmarkReferenceRun's wall-clock — a >500× improvement in
+// ns/host-hour.
 func BenchmarkShardedFleet10k(b *testing.B) {
 	benchSharded(b, 112, 90, false)
 }
 
 // BenchmarkShardedFleet10kInstrumented adds the shard telemetry plane
-// (busy gauges, tick counter, step-duration histogram); the CI overhead
-// gate holds it within 5% of BenchmarkShardedFleet10k.
+// (busy gauges, tick counter, step-duration histogram);
+// TestShardedScaleGate holds it within 5% of BenchmarkShardedFleet10k.
 func BenchmarkShardedFleet10kInstrumented(b *testing.B) {
 	benchSharded(b, 112, 90, true)
 }
